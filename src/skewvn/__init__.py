@@ -66,7 +66,6 @@ from .wvn import (
     skew_symmetric_wvn,
     skew_wvn_residual,
     spectral_measure_G,
-    spectral_projection,
     spectral_resolution,
     wvn_decompose,
 )

@@ -135,8 +135,9 @@ def make_anticonjugation(pairs):
     """Anticonjugation sending e_j -> f_j and f_j -> -e_j.
 
     ``pairs`` is a sequence of (e_j, f_j); the combined vectors must be an
-    orthonormal basis of the whole (even-dimensional) space.  The formula
-    K = sum(f e^T - e f^T) is exactly skew-symmetric in floating point.
+    orthonormal basis of the whole (even-dimensional) space.  With the e_j
+    and f_j as the columns of E and F, the formula K = F E^T - (F E^T)^T is
+    exactly skew-symmetric in floating point.
     """
     if not pairs:
         raise OddDimension("no pairs given")
@@ -154,12 +155,8 @@ def make_anticonjugation(pairs):
     q = np.column_stack(vecs)
     if frob(q.conj().T @ q - np.eye(n)) > 1e-8 * max(1.0, np.sqrt(n)):
         raise NotOrthonormal("pair vectors are not orthonormal")
-    k = np.zeros((n, n), dtype=complex)
-    for e, f in pairs:
-        e = np.asarray(e, dtype=complex).reshape(-1)
-        f = np.asarray(f, dtype=complex).reshape(-1)
-        k += np.outer(f, e) - np.outer(e, f)
-    return Anticonjugation(k)
+    fe = q[:, 1::2] @ q[:, 0::2].T
+    return Anticonjugation(fe - fe.T)
 
 
 def antilinear_from_linear(t, tau):

@@ -21,7 +21,6 @@ import numpy as np
 from . import matcore
 from .antilinear import (
     Anticonjugation,
-    AntilinearOperator,
     is_skew_self_adjoint,
     make_anticonjugation,
     modulus,
@@ -60,16 +59,17 @@ class PolarResult:
     modulus: np.ndarray
 
 
-def _skew_pairs(mat, cluster_tol=CLUSTER_TOL, rank_tol=DEFAULT_TOL):
+def _skew_pairs(mat, cluster_tol=CLUSTER_TOL, rank_tol=DEFAULT_TOL, spectrum=None):
     """Pair the spectrum of a skew-symmetric matrix.
 
     Returns ``(pairs, kernel, s_max)`` where pairs is a list of
     ``(e, f, r)`` with ``mat conj(e) = r f`` and ``mat conj(f) = -r e``,
     sorted by descending r, and kernel is a list of orthonormal vectors
-    spanning the numerical kernel.
+    spanning the numerical kernel.  ``spectrum`` is a precomputed
+    ``matcore.singular_spectrum(mat)``.
     """
     n = mat.shape[0]
-    s, v = matcore.singular_spectrum(mat)
+    s, v = matcore.singular_spectrum(mat) if spectrum is None else spectrum
     s_max = float(s[-1]) if n else 0.0
     if s_max == 0.0:
         return [], [v[:, j] for j in range(n)], 0.0
@@ -85,8 +85,7 @@ def _skew_pairs(mat, cluster_tol=CLUSTER_TOL, rank_tol=DEFAULT_TOL):
     )
     for cluster in clusters:
         idx = [positive_idx[i] for i in cluster]
-        remaining = v[:, idx]
-        sub_proj = remaining @ remaining.conj().T
+        span = remaining = v[:, idx]
         used = []
         while remaining.shape[1] > 0:
             if remaining.shape[1] == 1:
@@ -96,7 +95,7 @@ def _skew_pairs(mat, cluster_tol=CLUSTER_TOL, rank_tol=DEFAULT_TOL):
                 )
             e = remaining[:, 0]
             r = float(np.linalg.norm(mat @ np.conj(e)))
-            f = sub_proj @ (mat @ np.conj(e) / r)
+            f = span @ (span.conj().T @ (mat @ np.conj(e) / r))
             for u in used + [e]:
                 f = f - u * np.vdot(u, f)
             nrm = np.linalg.norm(f)
@@ -154,8 +153,8 @@ def antilinear_block_skew_diagonalize(a, tol=DEFAULT_TOL):
     return YoulaResult(u=u, r=r, kernel_dim=len(kernel))
 
 
-def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
-    """Factor A = kappa |A| with kappa an anticonjugation commuting with |A|.
+def polar_kappa(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL, spectrum=None):
+    """The anticonjugation kappa of A = kappa |A|, without the modulus.
 
     The anticonjugation acts as the canonical 2x2 block on each singular
     pair; kernel vectors are paired among themselves.  Raises OddKernel
@@ -164,7 +163,7 @@ def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     """
     if not is_skew_self_adjoint(a, tol):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
-    pairs, kernel, _ = _skew_pairs(a.mat, rank_tol=rank_tol)
+    pairs, kernel, _ = _skew_pairs(a.mat, rank_tol=rank_tol, spectrum=spectrum)
     if len(kernel) % 2 != 0:
         raise OddKernel(
             f"numerical kernel dimension {len(kernel)} is odd; "
@@ -173,5 +172,9 @@ def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     kappa_pairs = [(e, f) for e, f, _r in pairs]
     for j in range(0, len(kernel), 2):
         kappa_pairs.append((kernel[j], kernel[j + 1]))
-    kappa = make_anticonjugation(kappa_pairs)
-    return PolarResult(kappa=kappa, modulus=modulus(a, tol))
+    return make_anticonjugation(kappa_pairs)
+
+
+def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
+    """Factor A = kappa |A| with kappa (see polar_kappa) commuting with |A|."""
+    return PolarResult(kappa=polar_kappa(a, tol, rank_tol), modulus=modulus(a, tol))

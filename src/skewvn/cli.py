@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import canonical, cmatio, generate, wvn as wvn_mod
-from .antilinear import AntilinearOperator, Conjugation, is_skew_self_adjoint
+from .antilinear import AntilinearOperator, Conjugation
 from .errors import OddKernel, SkewvnError
-from .matcore import DEFAULT_TOL, frob, opnorm
+from .matcore import DEFAULT_TOL, frob
 from .schatten import schatten_norm, singular_values
 
 

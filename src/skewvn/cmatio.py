@@ -3,8 +3,10 @@
 Line 1 is ``CMAT v1 <rows> <cols>``; each following line holds one row as
 whitespace-separated ``re,im`` tokens.  Floats are written with Python's
 shortest round-trip repr, so write-then-read is bit exact.  ASCII, LF line
-endings.
+endings.  Every entry must be finite.
 """
+
+import cmath
 
 import numpy as np
 
@@ -58,11 +60,14 @@ def parse_cmat(text):
                     column=j + 1,
                 )
             try:
-                out[i, j] = complex(float(parts[0]), float(parts[1]))
+                value = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ParseError(
                     f"could not parse {tok!r}", line=lineno, column=j + 1
                 )
+            if not cmath.isfinite(value):
+                raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=j + 1)
+            out[i, j] = value
     return out
 
 

@@ -9,20 +9,19 @@ perturbation.  Iterating with a halving norm budget yields A = K + D with
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
 from .antilinear import (
-    Anticonjugation,
     AntilinearOperator,
     Conjugation,
     is_skew_self_adjoint,
     is_tau_skew_symmetric,
     tau_fixed_basis,
 )
-from .canonical import antilinear_block_skew_diagonalize, polar_factorize
+from .canonical import CLUSTER_TOL, antilinear_block_skew_diagonalize, polar_kappa
 from .errors import (
     BudgetFailure,
     InvalidP,
@@ -33,10 +32,9 @@ from .errors import (
     SkewvnError,
     ZeroVector,
 )
-from .matcore import DEFAULT_TOL, frob, opnorm
-from .schatten import numerical_rank, schatten_norm, singular_values
+from .matcore import DEFAULT_TOL, frob
+from .schatten import schatten_norm
 
-CLUSTER_TOL = 1e-8
 SEED_TOL = 1e-10
 CELL_DROP_TOL = 1e-12
 N_MAX = 2**20
@@ -83,29 +81,40 @@ class Partition:
 
 @dataclass(frozen=True)
 class SpectralResolution:
-    """Clustered eigendecomposition of |A| with orthogonal eigenprojections."""
+    """Clustered eigenvectors of |A|, so that E(omega) f = V_omega (V_omega* f).
+
+    Column j of ``vectors`` has the eigenvalue ``eigenvalues[cluster_of[j]]``.
+    """
 
     a: float
     b: float
     eigenvalues: np.ndarray
-    projections: list
+    vectors: np.ndarray
+    cluster_of: np.ndarray
+
+    def cluster_vectors(self, j):
+        """Orthonormal basis of the eigenspace of cluster j."""
+        return self.vectors[:, self.cluster_of == j]
 
     def projection_for(self, omega):
-        """Sum of eigenprojections with eigenvalue inside omega."""
-        n = self.projections[0].shape[0] if self.projections else 0
-        out = np.zeros((n, n), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            if omega.contains(lam):
-                out = out + proj
-        return out
+        """Dense eigenprojection onto the clusters with value inside omega."""
+        inside = np.array([omega.contains(lam) for lam in self.eigenvalues], dtype=bool)
+        v = self.vectors[:, inside[self.cluster_of]]
+        return v @ v.conj().T
 
 
 @dataclass(frozen=True)
 class StepResult:
+    """One rank-projection step; cells are indexed 0 .. n-1 from the left.
+
+    ``saturated``: every kept cell holds one cluster, so finer cells give the
+    same P and K.
+    """
+
     p: np.ndarray
     k: AntilinearOperator
-    kept_cells: list = field(default_factory=list)
-    dropped_cells: list = field(default_factory=list)
+    kept_cells: np.ndarray
+    saturated: bool
 
 
 @dataclass(frozen=True)
@@ -119,30 +128,23 @@ class WvnResult:
     achieved_norm: float
 
 
-def spectral_resolution(a, tol=DEFAULT_TOL):
-    """Eigenvalues and eigenprojections of |A|, clustered at relative gap 1e-8."""
+def spectral_resolution(a, tol=DEFAULT_TOL, spectrum=None):
+    """Eigenvalues and eigenvectors of |A|, clustered at relative gap 1e-8.
+
+    ``spectrum`` is a precomputed ``matcore.singular_spectrum(a.mat)``.
+    """
     if not is_skew_self_adjoint(a, tol):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
-    mat = a.mat
-    s, v = matcore.singular_spectrum(mat)
+    s, v = matcore.singular_spectrum(a.mat) if spectrum is None else spectrum
     s_max = float(s[-1]) if s.size else 0.0
     clusters = matcore.cluster_indices(list(s), CLUSTER_TOL * max(s_max, 1e-300))
-    eigenvalues = []
-    projections = []
-    for cluster in clusters:
-        vc = v[:, cluster]
-        eigenvalues.append(float(np.mean(s[cluster])))
-        projections.append(vc @ vc.conj().T)
     return SpectralResolution(
         a=0.0,
         b=s_max,
-        eigenvalues=np.array(eigenvalues),
-        projections=projections,
+        eigenvalues=np.array([float(np.mean(s[c])) for c in clusters]),
+        vectors=v,
+        cluster_of=np.repeat(np.arange(len(clusters)), [len(c) for c in clusters]),
     )
-
-
-def spectral_projection(res, omega):
-    return res.projection_for(omega)
 
 
 def spectral_measure_G(a, kappa, omega, res=None):
@@ -160,6 +162,8 @@ def rank_projection_step(a, kappa, f, n, tol=DEFAULT_TOL, res=None):
     of [0, ||A||], drops the cells where f_k vanishes, projects onto the
     span, and returns the projection P together with the skew-self-adjoint
     perturbation K = -(I-P)AP - PA(I-P), so that A + K is reduced by R(P).
+    Clusters are placed in cells by searchsorted on the edge floats that
+    ``Partition.cells`` uses, so membership is that of ``Interval.contains``.
     """
     f = np.asarray(f, dtype=complex).reshape(-1)
     fnorm = np.linalg.norm(f)
@@ -167,33 +171,30 @@ def rank_projection_step(a, kappa, f, n, tol=DEFAULT_TOL, res=None):
         raise ZeroVector("seed vector is zero")
     if res is None:
         res = spectral_resolution(a, tol)
-    part = Partition(res.a, res.b, n)
-    kept, dropped = [], []
-    fs, gs = [], []
-    for cell in part.cells():
-        e_proj = res.projection_for(cell)
-        fk = e_proj @ f
-        if np.linalg.norm(fk) <= CELL_DROP_TOL * fnorm:
-            dropped.append(cell)
-            continue
-        kept.append(cell)
-        fk = fk / np.linalg.norm(fk)
-        fs.append(fk)
-        gs.append(kappa(fk))
-    vecs = fs + gs
-    q = np.column_stack(vecs)
+    lam = res.eigenvalues
+    edges = res.a + np.arange(1, n) * ((res.b - res.a) / n)
+    cell = np.searchsorted(edges, lam, side="right")
+    cell[lam > res.b] = n  # outside [a, b]: in no cell
+    col_cell = cell[res.cluster_of]
+    coef = res.vectors.conj().T @ f
+    mass = np.bincount(col_cell, weights=np.abs(coef) ** 2, minlength=n + 1)
+    keep = np.sqrt(mass) > CELL_DROP_TOL * fnorm
+    keep[n] = False
+    kept = np.flatnonzero(keep)
+    # column j of F is E(omega_k) f / ||E(omega_k) f|| for the j-th kept cell k
+    scale = np.sqrt(np.where(keep[col_cell], mass[col_cell], 1.0))
+    fs = res.vectors @ ((col_cell[:, None] == kept) * (coef / scale)[:, None])
+    q = np.hstack([fs, kappa.mat @ np.conj(fs)])
     p = q @ q.conj().T
     p = (p + p.conj().T) / 2.0
-    mat = a.mat
-    n_dim = a.dim
-    ident = np.eye(n_dim)
-    # antilinear composition: matrix of X o A o Y is X @ mat @ conj(Y)
-    k_mat = -(ident - p) @ mat @ np.conj(p) - p @ mat @ np.conj(ident - p)
+    ident = np.eye(a.dim)
+    # antilinear composition: matrix of X o A o Y is X @ a.mat @ conj(Y)
+    k_mat = -(ident - p) @ a.mat @ np.conj(p) - p @ a.mat @ np.conj(ident - p)
     return StepResult(
         p=p,
         k=AntilinearOperator(k_mat),
         kept_cells=kept,
-        dropped_cells=dropped,
+        saturated=bool(np.all(np.bincount(cell, minlength=n + 1)[kept] == 1)),
     )
 
 
@@ -202,7 +203,7 @@ def _check_p(p):
         raise InvalidP(f"the decomposition needs 1 < p < inf, got {p}")
 
 
-def _projection_split(p, dim):
+def _projection_split(p):
     """Orthonormal bases of R(P) and R(I-P) from an approximate projection."""
     w, v = np.linalg.eigh(p)
     inside = v[:, w > 0.5]
@@ -218,6 +219,9 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     doubling the partition size until the step perturbation fits the
     halving budget epsilon / 2^j.  Each captured block is then exactly
     skew-diagonalized to produce the paired basis and the d-sequence.
+    D is A plus the sum of the step perturbations and K is minus that sum,
+    so A - K - D vanishes exactly.  Raises BudgetFailure as soon as finer
+    cells cannot change a step that misses its budget.
     """
     _check_p(p)
     if epsilon <= 0:
@@ -225,12 +229,6 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     if not is_skew_self_adjoint(a, tol):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
     n = a.dim
-    kernel_dim = n - numerical_rank(a, rank_tol)
-    if kernel_dim % 2 != 0:
-        raise OddKernel(
-            f"numerical kernel dimension {kernel_dim} is odd"
-        )
-
     mat = a.mat
     k_total = np.zeros((n, n), dtype=complex)
     w = np.eye(n, dtype=complex)  # orthonormal basis of the unexplored complement
@@ -238,33 +236,37 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     step_index = 0
     while w.shape[1] > 0:
         step_index += 1
-        mat_cur = mat + k_total
-        sub = w.conj().T @ mat_cur @ np.conj(w)
+        sub = w.conj().T @ (mat + k_total) @ np.conj(w)
         a_sub = AntilinearOperator(sub)
+        spectrum = matcore.singular_spectrum(sub)
+        if step_index == 1:  # sub is A itself
+            s = spectrum[0]
+            kernel_dim = int(np.count_nonzero(s <= rank_tol * s[-1]))
+            if kernel_dim % 2 != 0:
+                raise OddKernel(f"numerical kernel dimension {kernel_dim} is odd")
         # seed: first standard basis vector with mass left in the complement
-        f_sub = None
-        for i in range(n):
-            c = w.conj().T[:, i]
-            if np.linalg.norm(c) > SEED_TOL:
-                f_sub = c
-                break
-        if f_sub is None:
+        seeds = np.flatnonzero(np.linalg.norm(w, axis=1) > SEED_TOL)
+        if seeds.size == 0:
             break
-        polar = polar_factorize(a_sub, tol=tol, rank_tol=rank_tol)
-        res = spectral_resolution(a_sub, tol)
+        f_sub = w[seeds[0]].conj()
+        kappa = polar_kappa(a_sub, tol=tol, rank_tol=rank_tol, spectrum=spectrum)
+        res = spectral_resolution(a_sub, tol, spectrum=spectrum)
         budget = epsilon / 2.0**step_index
         cells = 4
         while True:
-            step = rank_projection_step(a_sub, polar.kappa, f_sub, cells, tol, res=res)
-            if schatten_norm(step.k, p) < budget:
+            step = rank_projection_step(a_sub, kappa, f_sub, cells, tol, res=res)
+            norm = schatten_norm(step.k, p)
+            if norm < budget:
                 break
-            cells *= 2
-            if cells > N_MAX:
+            if step.saturated or cells >= N_MAX:
                 raise BudgetFailure(
-                    f"partition size exceeded {N_MAX} before meeting the budget"
+                    f"||K||_p = {norm:.3e} >= budget {budget:.3e} at outer step "
+                    f"{step_index}: {cells} cells for {res.eigenvalues.size} clusters"
+                    + ("; finer cells give the same step" if step.saturated else "")
                 )
+            cells *= 2
         k_total = k_total + w @ step.k.mat @ w.T
-        inside, outside = _projection_split(step.p, w.shape[1])
+        inside, outside = _projection_split(step.p)
         blocks.append(w @ inside)
         w = w @ outside
 
@@ -274,27 +276,21 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     for vb in blocks:
         sub_d = vb.conj().T @ d_mat @ np.conj(vb)
         yres = antilinear_block_skew_diagonalize(AntilinearOperator(sub_d), tol=1e-8)
-        for j, r in enumerate(yres.r):
-            e = vb @ yres.u[:, 2 * j]
-            f = vb @ yres.u[:, 2 * j + 1]
-            basis.append((e, f))
-            d_values.append(float(r))
-        k0 = 2 * len(yres.r)
-        for j in range(k0, k0 + yres.kernel_dim, 2):
-            basis.append((vb @ yres.u[:, j], vb @ yres.u[:, j + 1]))
-            d_values.append(0.0)
+        # columns come in (e, f) pairs: one per r_j, then the kernel pairs with d = 0
+        cols = vb @ yres.u
+        basis.extend((cols[:, j], cols[:, j + 1]) for j in range(0, cols.shape[1], 2))
+        d_values.extend([float(r) for r in yres.r] + [0.0] * (yres.kernel_dim // 2))
 
-    achieved = schatten_norm(AntilinearOperator(k_total), p)
+    k = AntilinearOperator(-k_total)
     return WvnResult(
-        k=AntilinearOperator(k_total),
+        k=k,
         d=AntilinearOperator(d_mat),
         basis=basis,
         d_values=np.array(d_values),
         p=p,
         epsilon=epsilon,
-        achieved_norm=achieved,
+        achieved_norm=schatten_norm(k, p),
     )
-
 
 def block_skew_matrix(d_values, dim):
     """Direct sum of d_j [[0, 1], [-1, 0]] blocks padded with zeros."""

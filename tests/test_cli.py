@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewvn import cli, cmatio, generate
+from skewvn import cli, cmatio, generate, wvn
 from skewvn.cli import VerificationReport, main, run_verify
 from skewvn.errors import InvalidRank, ParseError
 
@@ -198,3 +198,33 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         cli.build_parser().parse_args(["wvn"])  # missing required args
     assert excinfo.value.code == 2
+
+
+def test_cmat_rejects_non_finite_entries():
+    for tok in ("nan,0", "0,inf", "-inf,1", "1e400,0"):
+        with pytest.raises(ParseError) as excinfo:
+            cmatio.parse_cmat(f"CMAT v1 2 2\n0,0 1,0\n{tok} 0,0\n")
+        assert (excinfo.value.line, excinfo.value.column) == (3, 1)
+
+
+def test_cli_non_finite_input_exit(tmp_path, capsys):
+    bad = tmp_path / "nan.cmat"
+    bad.write_text("CMAT v1 2 2\n0,0 nan,0\n-1,0 0,0\n")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "(line 2, column 2)" in err
+    assert "Traceback" not in err
+
+
+def test_cli_wvn_near_degenerate_pair(tmp_path):
+    # singular values 1 and 1 + 1e-6 leave a step perturbation of ~1e-6,
+    # so A = K + D must hold with the returned sign of K, not A = D - K
+    u = generate.random_unitary(np.random.default_rng(3), 8)
+    m = u @ wvn.block_skew_matrix([2.0, 1.5, 1.0, 1.0 + 1e-6], 8) @ u.T
+    mpath = str(tmp_path / "m.cmat")
+    cmatio.write_cmat(mpath, m)
+    prefix = str(tmp_path / "w")
+    assert main(["wvn", mpath, "--epsilon", "1e-3", "--out-prefix", prefix]) == 0
+    report = (tmp_path / "w.report.txt").read_text()
+    assert "wvn_reconstruction PASS residual=0.0 " in report
+    assert main(["verify", mpath, "--epsilon", "1e-3"]) == 0

@@ -3,21 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from skewvn.antilinear import AntilinearOperator, Conjugation
+from skewvn import generate, wvn
+from skewvn.antilinear import AntilinearOperator, Conjugation, make_anticonjugation
 from skewvn.canonical import K2, polar_factorize
-from skewvn.errors import InvalidP, KernelMismatch, OddKernel, ZeroVector
+from skewvn.errors import BudgetFailure, InvalidP, OddKernel, ZeroVector
 from skewvn.matcore import frob, opnorm
-from skewvn.schatten import schatten_norm, singular_values
+from skewvn.schatten import schatten_norm
 from skewvn.wvn import (
+    CELL_DROP_TOL,
     Interval,
     Partition,
+    SpectralResolution,
     block_skew_matrix,
     kernel_split_wvn,
     rank_projection_step,
     skew_symmetric_wvn,
     skew_wvn_residual,
     spectral_measure_G,
-    spectral_projection,
     spectral_resolution,
     wvn_decompose,
 )
@@ -39,6 +41,11 @@ def two_block_matrix():
     return m
 
 
+def cluster_projection(res, j):
+    vc = res.cluster_vectors(j)
+    return vc @ vc.conj().T
+
+
 def test_partition_cells_cover_interval():
     part = Partition(0.0, 2.0, 4)
     cells = part.cells()
@@ -55,38 +62,39 @@ def test_spectral_resolution_scalar_modulus():
     a = AntilinearOperator(np.array([[0, 2], [-2, 0]], dtype=complex))
     res = spectral_resolution(a)
     assert np.allclose(res.eigenvalues, [2.0])
-    assert frob(res.projections[0] - np.eye(2)) <= 1e-10
+    assert frob(cluster_projection(res, 0) - np.eye(2)) <= 1e-10
     assert res.a == 0.0 and abs(res.b - 2.0) <= 1e-12
 
 
 def test_spectral_resolution_zero():
     res = spectral_resolution(AntilinearOperator(np.zeros((3, 3))))
     assert np.allclose(res.eigenvalues, [0.0])
-    assert frob(res.projections[0] - np.eye(3)) <= 1e-12
+    assert frob(cluster_projection(res, 0) - np.eye(3)) <= 1e-12
 
 
 def test_spectral_resolution_two_blocks():
     a = AntilinearOperator(two_block_matrix())
     res = spectral_resolution(a)
     assert np.allclose(res.eigenvalues, [1.0, 2.0])
-    for proj in res.projections:
+    projections = [cluster_projection(res, j) for j in range(res.eigenvalues.size)]
+    for proj in projections:
         assert abs(np.trace(proj).real - 2.0) <= 1e-10
         assert frob(proj @ proj - proj) <= 1e-10
         assert frob(proj - proj.conj().T) <= 1e-10
-    total = sum(res.projections)
+    total = sum(projections)
     assert frob(total - np.eye(4)) <= 1e-10
 
 
 def test_spectral_projection_selection():
     a = AntilinearOperator(two_block_matrix())
     res = spectral_resolution(a)
-    low = spectral_projection(res, Interval(0.5, 1.5))
+    low = res.projection_for(Interval(0.5, 1.5))
     # projection onto the eigenvalue-1 eigenspace = last two coordinates
     expected = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
     assert frob(low - expected) <= 1e-10
-    full = spectral_projection(res, Interval(res.a, res.b, closed_right=True))
+    full = res.projection_for(Interval(res.a, res.b, closed_right=True))
     assert frob(full - np.eye(4)) <= 1e-10
-    empty = spectral_projection(res, Interval(5.0, 6.0))
+    empty = res.projection_for(Interval(5.0, 6.0))
     assert frob(empty) == 0.0
 
 
@@ -115,7 +123,7 @@ def test_g_square_property():
     res = spectral_resolution(a)
     lower = Interval(res.a, (res.a + res.b) / 2.0)
     g = spectral_measure_G(a, kappa, lower, res=res)
-    e = spectral_projection(res, lower)
+    e = res.projection_for(lower)
     # G(omega)^2 = -E(omega)
     assert frob(g.compose(g) + e) <= 1e-10
 
@@ -204,7 +212,7 @@ def test_step_family_orthogonality():
     f = random_complex(rng, 8, 1).ravel()
     fs, gs = [], []
     for cell in Partition(res.a, res.b, 4).cells():
-        fk = spectral_projection(res, cell) @ f
+        fk = res.projection_for(cell) @ f
         if np.linalg.norm(fk) > 1e-12:
             fs.append(fk)
             gs.append(kappa(fk))
@@ -387,3 +395,111 @@ def test_block_skew_matrix():
     expected[0, 1], expected[1, 0] = 2.0, -2.0
     expected[2, 3], expected[3, 2] = 1.0, -1.0
     assert np.array_equal(out, expected)
+
+
+def dense_rank_projection_step(a, kappa, f, n, res):
+    """The step built cell by cell from dense projections: the reference."""
+    fnorm = np.linalg.norm(f)
+    fs = []
+    for cell in Partition(res.a, res.b, n).cells():
+        fk = res.projection_for(cell) @ f
+        if np.linalg.norm(fk) > CELL_DROP_TOL * fnorm:
+            fs.append(fk / np.linalg.norm(fk))
+    q = np.column_stack(fs + [kappa(v) for v in fs])
+    p = q @ q.conj().T
+    p = (p + p.conj().T) / 2.0
+    ident = np.eye(a.dim)
+    k = -(ident - p) @ a.mat @ np.conj(p) - p @ a.mat @ np.conj(ident - p)
+    return p, k
+
+
+def test_rank_projection_step_matches_dense_cells():
+    rng = np.random.default_rng(52)
+    u = generate.random_unitary(rng, 16)
+    # clusters of multiplicity 2, 4 and 6 among the singular values
+    r = [3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.5 + 1e-3]
+    a = AntilinearOperator(u @ block_skew_matrix(r, 16) @ u.T)
+    kappa = polar_factorize(a).kappa
+    res = spectral_resolution(a)
+    f = random_complex(rng, 16, 1).ravel()
+    for n in (1, 2, 3, 4, 5, 8, 16, 4096):
+        step = rank_projection_step(a, kappa, f, n, res=res)
+        p, k = dense_rank_projection_step(a, kappa, f, n, res)
+        assert frob(step.p - p) <= 1e-12
+        assert frob(step.k.mat - k) <= 1e-12
+
+
+def test_rank_projection_step_cells_follow_interval_contains():
+    # one eigenvalue per coordinate, placed on every cell edge, just below
+    # it, at b and beyond b; the seed picks one eigenvalue at a time
+    for b, n in ((1.0, 7), (0.3, 10), (2.9, 3)):
+        part = Partition(0.0, b, n)
+        cells = part.cells()
+        lam = [c.lo for c in cells[1:]] + [np.nextafter(c.lo, -1.0) for c in cells[1:]]
+        lam += [b, np.nextafter(b, 2.0 * b), 0.0]
+        lam += [0.0] * (len(lam) % 2)
+        dim = len(lam)
+        res = SpectralResolution(
+            a=0.0,
+            b=b,
+            eigenvalues=np.array(lam),
+            vectors=np.eye(dim, dtype=complex),
+            cluster_of=np.arange(dim),
+        )
+        a = AntilinearOperator(np.zeros((dim, dim)))
+        e = np.eye(dim)
+        kappa = make_anticonjugation([(e[:, j], e[:, j + 1]) for j in range(0, dim, 2)])
+        for j, x in enumerate(lam):
+            step = rank_projection_step(a, kappa, e[:, j], n, res=res)
+            expected = [k for k, c in enumerate(cells) if c.contains(x)]
+            assert list(step.kept_cells) == expected
+
+
+def test_spectral_resolution_memory_is_quadratic():
+    n = 256
+    res = spectral_resolution(AntilinearOperator(generate.gen("skew-symmetric", n, None, 3)))
+    fields = vars(res).values()
+    held = sum(
+        np.asarray(x).nbytes for v in fields for x in (v if isinstance(v, list) else [v])
+    )
+    assert held <= 3 * n * n * 16
+
+
+def test_wvn_near_degenerate_reconstruction_is_exact():
+    # singular values 1 and 1 + 1e-6 leave K of norm ~1e-6, large enough
+    # that returning the sum of step perturbations unnegated breaks A = K + D
+    u = generate.random_unitary(np.random.default_rng(3), 8)
+    m = u @ block_skew_matrix([2.0, 1.5, 1.0, 1.0 + 1e-6], 8) @ u.T
+    result = wvn_decompose(AntilinearOperator(m), 1e-3)
+    assert frob(result.k.mat) > 1e-7
+    assert frob(m - result.k.mat - result.d.mat) <= 1e-10 * (1 + frob(m))
+    assert result.achieved_norm < 1e-3
+
+
+def test_wvn_budget_failure_stops_when_cells_saturate(monkeypatch):
+    # at scale 1e150 the roundoff in K is ~1e134, far above epsilon = 1e-3;
+    # once every cluster has its own cell finer cells cannot help
+    a = AntilinearOperator(generate.gen("skew-symmetric", 16, None, 5) * 1e150)
+    calls = []
+    real_step = wvn.rank_projection_step
+
+    def counting_step(*args, **kwargs):
+        calls.append(args[3])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(wvn, "rank_projection_step", counting_step)
+    with pytest.raises(BudgetFailure) as excinfo:
+        wvn_decompose(a, 1e-3)
+    # first cell count 4 * 2^j at which the clusters of |A| sit in distinct cells
+    res = spectral_resolution(a)
+    cells = 4
+    while True:
+        part = Partition(res.a, res.b, cells).cells()
+        owners = [next(k for k, c in enumerate(part) if c.contains(x)) for x in res.eigenvalues]
+        if len(set(owners)) == len(owners):
+            break
+        cells *= 2
+    assert calls == [4 * 2**j for j in range(int(math.log2(cells // 4)) + 1)]
+    message = str(excinfo.value)
+    assert f"{cells} cells" in message and f"{res.eigenvalues.size} clusters" in message
+    assert "budget 5.000e-04" in message
