@@ -14,7 +14,6 @@ from .antilinear import (
     linear_from_antilinear,
     make_anticonjugation,
     modulus,
-    sharp,
     tau_fixed_basis,
     tau_transpose,
     transpose_check,

@@ -6,6 +6,7 @@ antilinear adjoint is exactly the transpose, and skew-self-adjointness is
 exactly complex skew-symmetry of ``mat``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +116,6 @@ class Anticonjugation:
         return AntilinearOperator(self.mat)
 
 
-def sharp(a):
-    return a.sharp()
-
-
 def is_skew_self_adjoint(a, tol=DEFAULT_TOL):
     """True iff A# = -A, i.e. the matrix is skew-symmetric within tol."""
     m = a.mat
@@ -126,9 +123,15 @@ def is_skew_self_adjoint(a, tol=DEFAULT_TOL):
 
 
 def modulus(a, tol=DEFAULT_TOL):
-    """|A|, the positive square root of A# A (a linear operator)."""
-    gram = a.sharp().compose(a)
-    return matcore.psd_sqrt(gram, tol)
+    """|A|, the positive square root of A# A (a linear operator).
+
+    Computed as 2^e |2^-e A| with an exact power-of-two prescale, so that
+    A# A neither overflows nor underflows.
+    """
+    shift = matcore.pow2_exponent(a.mat)
+    scaled = AntilinearOperator(a.mat * math.ldexp(1.0, -shift))
+    gram = scaled.sharp().compose(scaled)
+    return matcore.psd_sqrt(gram, tol) * math.ldexp(1.0, shift)
 
 
 def make_anticonjugation(pairs):

@@ -14,6 +14,7 @@ e and f automatically orthogonal, so the pairing is stable whenever the
 clusters are.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,10 @@ def _skew_pairs(mat, cluster_tol=CLUSTER_TOL, rank_tol=DEFAULT_TOL, spectrum=Non
         return [], [v[:, j] for j in range(n)], 0.0
 
     thr = rank_tol * s_max
+    # pair on mat 2^-shift, whose columns neither overflow nor underflow
+    # when squared, and scale r back
+    shift = matcore.pow2_exponent(mat)
+    scale = math.ldexp(1.0, -shift)
     kernel_idx = [j for j in range(n) if s[j] <= thr]
     positive_idx = [j for j in range(n) if s[j] > thr]
     kernel = [v[:, j] for j in kernel_idx]
@@ -94,15 +99,16 @@ def _skew_pairs(mat, cluster_tol=CLUSTER_TOL, rank_tol=DEFAULT_TOL, spectrum=Non
                     "pairing cannot complete"
                 )
             e = remaining[:, 0]
-            r = float(np.linalg.norm(mat @ np.conj(e)))
-            f = span @ (span.conj().T @ (mat @ np.conj(e) / r))
+            ae = mat @ np.conj(e) * scale  # = (mat 2^-shift) conj(e), exactly
+            r = float(np.linalg.norm(ae))
+            f = span @ (span.conj().T @ (ae / r))
             for u in used + [e]:
                 f = f - u * np.vdot(u, f)
             nrm = np.linalg.norm(f)
             if nrm < 0.5:
                 raise ConvergenceFailure("pairing vector collapsed")
             f = f / nrm
-            pairs.append((e, f, r))
+            pairs.append((e, f, math.ldexp(r, shift)))
             used.extend([e, f])
             rest = remaining[:, 1:]
             rest = rest - np.outer(e, e.conj() @ rest) - np.outer(f, f.conj() @ rest)

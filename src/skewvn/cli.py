@@ -83,7 +83,7 @@ def _check_polar(report, a, polar, tol):
 def _check_g_properties(report, a, kappa, tol):
     res = wvn_mod.spectral_resolution(a, tol)
     part = wvn_mod.Partition(res.a, res.b, 4)
-    bound = 1e-10 * (1.0 + res.b) ** 2
+    bound = 1e-10 * (1.0 + res.b) * (1.0 + res.b)  # inf, not OverflowError, past 1e154
     total = np.zeros((a.dim, a.dim), dtype=complex)
     for i, cell in enumerate(part.cells()):
         e = res.projection_for(cell)

@@ -7,6 +7,8 @@ clamping, and Gram-Schmidt orthonormalization with an explicit drop
 threshold.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPSD
@@ -107,6 +109,12 @@ def orthonormal_columns(mat, tol=DEFAULT_TOL):
     return np.column_stack(cols)
 
 
+def pow2_exponent(mat):
+    """e with max|mat| in [2^(e-1), 2^e), so that mat * 2^-e is exact and of
+    order one; 0 for an empty or zero matrix."""
+    return int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
+
+
 def singular_spectrum(mat):
     """Ascending singular values paired with eigenvectors of mat mat*.
 
@@ -115,7 +123,11 @@ def singular_spectrum(mat):
     the square would floor small singular values at ~sqrt(eps) * s_max.
     """
     mat = as_matrix(mat)
-    gram = mat @ mat.conj().T
+    # exact power-of-two prescale: the Gram matrix of a matrix near 2^+-600
+    # would overflow or underflow, and the vectors do not depend on the scale
+    scaled = mat * math.ldexp(1.0, -pow2_exponent(mat))
+    gram = scaled @ scaled.conj().T
+    del scaled
     _w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     s = np.linalg.svd(mat, compute_uv=False)[::-1]
     return s, v

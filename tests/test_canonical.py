@@ -185,3 +185,21 @@ def test_youla_antilinear_consistency():
     r_youla = youla_decompose(m).r
     r_anti = antilinear_block_skew_diagonalize(AntilinearOperator(m)).r
     assert np.allclose(r_youla, r_anti, atol=1e-9)
+
+
+def test_youla_and_polar_scale_by_powers_of_two():
+    # the Gram matrix of an input near 2^+-600 overflows or underflows
+    # unless it is prescaled; the prescale is exact, so outputs scale exactly
+    from skewvn.generate import gen
+
+    m = gen("skew-symmetric", 32, None, 4)
+    youla = youla_decompose(m)
+    polar = polar_factorize(AntilinearOperator(m))
+    for shift in (600, -600):
+        scaled = m * 2.0**shift
+        y = youla_decompose(scaled)
+        assert np.array_equal(y.u, youla.u)
+        assert np.array_equal(y.r, youla.r * 2.0**shift)
+        p = polar_factorize(AntilinearOperator(scaled))
+        assert np.array_equal(p.kappa.mat, polar.kappa.mat)
+        assert np.array_equal(p.modulus, polar.modulus * 2.0**shift)

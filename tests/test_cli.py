@@ -228,3 +228,25 @@ def test_cli_wvn_near_degenerate_pair(tmp_path):
     report = (tmp_path / "w.report.txt").read_text()
     assert "wvn_reconstruction PASS residual=0.0 " in report
     assert main(["verify", mpath, "--epsilon", "1e-3"]) == 0
+
+
+def test_cli_power_of_two_scaled_input(tmp_path):
+    # a generic input times 2^+-600 used to end in a ValueError traceback,
+    # from a Gram matrix that overflowed or underflowed
+    m = generate.gen("skew-symmetric", 32, None, 4)
+    for shift in (600, -600):
+        mpath = str(tmp_path / f"m{shift}.cmat")
+        cmatio.write_cmat(mpath, m * 2.0**shift)
+        eps = repr(1e-2 * 2.0**shift)
+        prefix = str(tmp_path / f"sw{shift}")
+        assert main(["youla", mpath, "--out-prefix", str(tmp_path / "y")]) == 0
+        assert main(["polar", mpath, "--out-prefix", str(tmp_path / "p")]) == 0
+        assert main(["skew-wvn", mpath, "--epsilon", eps, "--out-prefix", prefix]) == 0
+        assert main(["verify", mpath, "--decomp-prefix", prefix, "--epsilon", eps]) == 0
+        assert main(["verify", mpath]) == 0
+    # at 2^-600 the WvN checks hold as well; at 2^+600 the absolute 1e-9
+    # slack of wvn_weyl_stability is below the SVD's roundoff
+    mpath = str(tmp_path / "m-600.cmat")
+    eps = repr(1e-2 * 2.0**-600)
+    assert main(["wvn", mpath, "--epsilon", eps, "--out-prefix", str(tmp_path / "w")]) == 0
+    assert main(["verify", mpath, "--epsilon", eps]) == 0

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from skewvn import generate, wvn
-from skewvn.antilinear import AntilinearOperator, Conjugation, make_anticonjugation
+from skewvn.antilinear import (
+    AntilinearOperator,
+    Conjugation,
+    make_anticonjugation,
+    tau_fixed_basis,
+)
 from skewvn.canonical import K2, polar_factorize
 from skewvn.errors import BudgetFailure, InvalidP, OddKernel, ZeroVector
 from skewvn.matcore import frob, opnorm
@@ -397,6 +402,43 @@ def test_block_skew_matrix():
     assert np.array_equal(out, expected)
 
 
+def test_wvn_scales_by_powers_of_two():
+    m = generate.gen("skew-symmetric", 32, None, 4)
+    base = wvn_decompose(AntilinearOperator(m), 1e-2)
+    for shift in (600, -600):
+        result = wvn_decompose(AntilinearOperator(m * 2.0**shift), 1e-2 * 2.0**shift)
+        assert np.array_equal(result.k.mat, base.k.mat * 2.0**shift)
+        assert np.array_equal(result.d_values, base.d_values * 2.0**shift)
+
+
+def test_kernel_split_injective_is_skew_symmetric_wvn():
+    tau = Conjugation.standard(24)
+    t = generate.gen("skew-symmetric", 24, None, 8)
+    split = kernel_split_wvn(t, tau, 1e-2)
+    direct = skew_symmetric_wvn(t, tau, 1e-2)
+    for field in ("k", "d", "u", "d_values"):
+        assert np.array_equal(getattr(split, field), getattr(direct, field))
+    assert split.achieved_norm == direct.achieved_norm
+
+
+def test_kernel_split_odd_kernel_compresses_to_the_range():
+    # the kernel path: tau-fixed bases of N(T)^perp and N(T), and the
+    # decomposition of the compression of T to N(T)^perp
+    t = generate.gen("tau-skew-symmetric-with-kernel", 21, 16, 6)
+    tau = Conjugation.standard(21)
+    result = kernel_split_wvn(t, tau, 1e-2)
+    u_sv, s, vh = np.linalg.svd(t)
+    small = s <= 1e-10 * s[0]
+    assert np.count_nonzero(small) == 5
+    b_perp = tau_fixed_basis(tau, u_sv[:, ~small])
+    b_ker = tau_fixed_basis(tau, vh.conj().T[:, small])
+    sub = skew_symmetric_wvn(b_perp.conj().T @ t @ b_perp, Conjugation.standard(16), 1e-2)
+    assert np.array_equal(result.k, b_perp @ sub.k @ b_perp.conj().T)
+    assert np.array_equal(result.u, np.column_stack([b_perp @ sub.u, b_ker]))
+    assert np.array_equal(result.d_values, sub.d_values)
+    assert np.array_equal(result.d, block_skew_matrix(sub.d_values, 21))
+
+
 def dense_rank_projection_step(a, kappa, f, n, res):
     """The step built cell by cell from dense projections: the reference."""
     fnorm = np.linalg.norm(f)
@@ -476,18 +518,31 @@ def test_wvn_near_degenerate_reconstruction_is_exact():
     assert result.achieved_norm < 1e-3
 
 
+def count_calls(monkeypatch, name, key):
+    """Record key(args) for every call to ``wvn.<name>``."""
+    calls = []
+    real = getattr(wvn, name)
+
+    def counting(*args, **kwargs):
+        calls.append(key(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wvn, name, counting)
+    return calls
+
+
+def count_attempts(monkeypatch):
+    """Cell counts of the screened attempts and of the dense steps."""
+    screened = count_calls(monkeypatch, "_step_norm_estimate", lambda args: args[3].n)
+    dense = count_calls(monkeypatch, "rank_projection_step", lambda args: args[3])
+    return screened, dense
+
+
 def test_wvn_budget_failure_stops_when_cells_saturate(monkeypatch):
     # at scale 1e150 the roundoff in K is ~1e134, far above epsilon = 1e-3;
     # once every cluster has its own cell finer cells cannot help
     a = AntilinearOperator(generate.gen("skew-symmetric", 16, None, 5) * 1e150)
-    calls = []
-    real_step = wvn.rank_projection_step
-
-    def counting_step(*args, **kwargs):
-        calls.append(args[3])
-        return real_step(*args, **kwargs)
-
-    monkeypatch.setattr(wvn, "rank_projection_step", counting_step)
+    screened, dense = count_attempts(monkeypatch)
     with pytest.raises(BudgetFailure) as excinfo:
         wvn_decompose(a, 1e-3)
     # first cell count 4 * 2^j at which the clusters of |A| sit in distinct cells
@@ -499,7 +554,87 @@ def test_wvn_budget_failure_stops_when_cells_saturate(monkeypatch):
         if len(set(owners)) == len(owners):
             break
         cells *= 2
-    assert calls == [4 * 2**j for j in range(int(math.log2(cells // 4)) + 1)]
+    assert screened == [4 * 2**j for j in range(int(math.log2(cells // 4)) + 1)]
+    # only the saturated attempt forms its step, and it decides the failure
+    assert dense == [cells]
     message = str(excinfo.value)
     assert f"{cells} cells" in message and f"{res.eigenvalues.size} clusters" in message
     assert "budget 5.000e-04" in message
+
+
+def estimate_inputs():
+    """Generic, clustered and near-degenerate inputs of size 16 ... 128."""
+    rng = np.random.default_rng(53)
+    for n in (16, 64, 128):
+        yield generate.gen("skew-symmetric", n, None, n)
+    for n in (32, 128):
+        u = generate.random_unitary(rng, n)
+        yield u @ block_skew_matrix(np.repeat([3.0, 2.0, 1.0, 0.5], n // 8), n) @ u.T
+        r = np.sort(rng.uniform(0.5, 2.0, n // 4))
+        yield u @ block_skew_matrix(np.concatenate([r, r * (1.0 + 1e-7)]), n) @ u.T
+
+
+def test_step_norm_estimate_matches_dense_norm():
+    for m in estimate_inputs():
+        a = AntilinearOperator(m)
+        kappa = polar_factorize(a).kappa
+        res = spectral_resolution(a)
+        f = np.eye(a.dim)[:, 0]
+        for cells in [4 * 2**j for j in range(11)]:
+            step = rank_projection_step(a, kappa, f, cells, res=res)
+            cut = wvn._cut_cells(res, f, cells)
+            for p in (1.5, 2.0, 3.0):
+                dense = schatten_norm(step.k, p)
+                estimate = wvn._step_norm_estimate(a, kappa, res, cut, p)
+                if dense > 1e-8 * res.b:
+                    assert abs(estimate - dense) <= 1e-6 * dense
+                else:
+                    assert abs(estimate - dense) <= 1e-12 * res.b
+
+
+def dense_accepted_cells(a, epsilon, p=2.0):
+    """Cells of the accepted step of each outer step of the unscreened loop."""
+    n = a.dim
+    k_total = np.zeros((n, n), dtype=complex)
+    w = np.eye(n, dtype=complex)
+    accepted = []
+    while w.shape[1] > 0:
+        sub = AntilinearOperator(w.conj().T @ (a.mat + k_total) @ np.conj(w))
+        seeds = np.flatnonzero(np.linalg.norm(w, axis=1) > wvn.SEED_TOL)
+        if seeds.size == 0:
+            break
+        kappa = polar_factorize(sub).kappa
+        res = spectral_resolution(sub)
+        budget = epsilon / 2.0 ** (len(accepted) + 1)
+        cells = 4
+        while True:
+            step = rank_projection_step(sub, kappa, w[seeds[0]].conj(), cells, res=res)
+            if schatten_norm(step.k, p) < budget:
+                break
+            cells *= 2
+        accepted.append(cells)
+        k_total = k_total + w @ step.k.mat @ w.T
+        evals, evecs = np.linalg.eigh(step.p)
+        w = w @ evecs[:, evals <= 0.5]
+    return accepted
+
+
+def test_screened_loop_accepts_the_dense_cell_counts(monkeypatch):
+    for m, epsilon in zip(estimate_inputs(), (1e-1, 1e-2, 1e-3, 1e-2, 1e-4, 1e-2, 1e-3)):
+        a = AntilinearOperator(m)
+        expected = dense_accepted_cells(a, epsilon)
+        _, dense = count_attempts(monkeypatch)
+        wvn_decompose(a, epsilon)
+        monkeypatch.undo()
+        # one dense step per outer step, and it is the accepted one
+        assert dense == expected
+
+
+def test_one_dense_step_per_outer_step_on_generic_input(monkeypatch):
+    a = AntilinearOperator(generate.gen("skew-symmetric", 128, None, 7))
+    screened, dense = count_attempts(monkeypatch)
+    outer = count_calls(monkeypatch, "spectral_resolution", lambda args: args[0].dim)
+    result = wvn_decompose(a, 1e-2)
+    assert result.achieved_norm < 1e-2
+    assert len(dense) == len(outer) >= 1
+    assert len(screened) > len(dense)
