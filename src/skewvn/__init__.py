@@ -21,7 +21,7 @@ from .antilinear import (
 from .canonical import (
     PolarResult,
     YoulaResult,
-    antilinear_block_skew_diagonalize,
+    block_skew_matrix,
     polar_factorize,
     youla_decompose,
 )
@@ -33,9 +33,7 @@ from .errors import (
     InvalidP,
     InvalidRank,
     KernelMismatch,
-    NotHermitian,
     NotOrthonormal,
-    NotPSD,
     NotSkewSelfAdjoint,
     NotSkewSymmetric,
     OddDimension,
@@ -45,7 +43,7 @@ from .errors import (
     ZeroVector,
 )
 from .generate import gen
-from .matcore import hermitian_eig, orthonormalize, psd_sqrt
+from .matcore import orthonormalize
 from .schatten import (
     conjugate_exponent,
     numerical_rank,
@@ -53,13 +51,10 @@ from .schatten import (
     singular_values,
 )
 from .wvn import (
-    Interval,
-    Partition,
     SkewWvnResult,
     SpectralResolution,
     StepResult,
     WvnResult,
-    block_skew_matrix,
     kernel_split_wvn,
     rank_projection_step,
     skew_symmetric_wvn,

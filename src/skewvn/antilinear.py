@@ -3,10 +3,10 @@
 An antilinear operator is stored by the matrix of its composition with
 entrywise conjugation: ``A(x) = mat @ conj(x)``.  With this convention the
 antilinear adjoint is exactly the transpose, and skew-self-adjointness is
-exactly complex skew-symmetry of ``mat``.
+exactly complex skew-symmetry of ``mat``.  The modulus |A| = (A# A)^(1/2)
+is read off the singular spectrum of ``mat^tr``; A# A is never square-rooted.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +122,19 @@ def is_skew_self_adjoint(a, tol=DEFAULT_TOL):
     return frob(m + m.T) <= tol * (1.0 + frob(m))
 
 
-def modulus(a, tol=DEFAULT_TOL):
+def modulus(a):
     """|A|, the positive square root of A# A (a linear operator).
 
-    Computed as 2^e |2^-e A| with an exact power-of-two prescale, so that
-    A# A neither overflows nor underflows.
+    A# A = mat^tr conj(mat) is the Gram matrix of mat^tr, so |A| is
+    V diag(s) V* with (s, V) the singular spectrum of mat^tr.
     """
-    shift = matcore.pow2_exponent(a.mat)
-    scaled = AntilinearOperator(a.mat * math.ldexp(1.0, -shift))
-    gram = scaled.sharp().compose(scaled)
-    return matcore.psd_sqrt(gram, tol) * math.ldexp(1.0, shift)
+    return _modulus_from_spectrum(matcore.singular_spectrum(a.mat.T))
+
+
+def _modulus_from_spectrum(spectrum):
+    """V diag(s) V* from a ``matcore.singular_spectrum``."""
+    s, v = spectrum
+    return (v * s) @ v.conj().T
 
 
 def make_anticonjugation(pairs):

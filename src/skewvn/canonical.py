@@ -1,9 +1,11 @@
 """Canonical forms of complex skew-symmetric matrices.
 
-Youla block skew-diagonalization ``M = U (sum of 2x2 blocks + 0) U^tr``,
-the same factorization phrased for antilinear skew-self-adjoint operators,
+Youla block skew-diagonalization ``M = U (sum of 2x2 blocks + 0) U^tr``
 and the polar-type factorization ``A = kappa |A| = |A| kappa`` through an
-anticonjugation.
+anticonjugation.  Both are read off one ``matcore.singular_spectrum``: the
+pairing below gives U and kappa, and the same values and vectors give |A|.
+Read as an antilinear operator, M = U B U^tr says that U* o A o U is the
+block form B, with the pair (e_j, f_j) in columns (2j+1, 2j) of U.
 
 The pairing algorithm: eigendecompose the Hermitian PSD matrix mat mat*
 (whose eigenvalues are squared singular values, each with even
@@ -22,9 +24,9 @@ import numpy as np
 from . import matcore
 from .antilinear import (
     Anticonjugation,
+    _modulus_from_spectrum,
     is_skew_self_adjoint,
     make_anticonjugation,
-    modulus,
 )
 from .errors import ConvergenceFailure, NotSkewSelfAdjoint, NotSkewSymmetric, OddKernel
 from .matcore import DEFAULT_TOL, frob
@@ -46,12 +48,16 @@ class YoulaResult:
 
     def block_matrix(self):
         """B = direct sum of [[0, r_j], [-r_j, 0]] blocks padded with zeros."""
-        n = self.dim
-        b = np.zeros((n, n), dtype=complex)
-        for j, r in enumerate(self.r):
-            b[2 * j, 2 * j + 1] = r
-            b[2 * j + 1, 2 * j] = -r
-        return b
+        return block_skew_matrix(self.r, self.dim)
+
+
+def block_skew_matrix(d_values, dim):
+    """Direct sum of d_j [[0, 1], [-1, 0]] blocks padded with zeros."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for j, d in enumerate(d_values):
+        out[2 * j, 2 * j + 1] = d
+        out[2 * j + 1, 2 * j] = -d
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,24 +147,6 @@ def youla_decompose(m, tol=DEFAULT_TOL):
     return YoulaResult(u=u, r=r, kernel_dim=len(kernel))
 
 
-def antilinear_block_skew_diagonalize(a, tol=DEFAULT_TOL):
-    """Skew-diagonalize a skew-self-adjoint antilinear operator.
-
-    With the returned U, the compression U# o A o U is the direct sum of
-    r_j-scaled 2x2 anticonjugation blocks plus a zero block.
-    """
-    if not is_skew_self_adjoint(a, tol):
-        raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
-    pairs, kernel, _ = _skew_pairs(a.mat, rank_tol=tol)
-    cols = []
-    for e, f, _r in pairs:
-        cols.extend([e, f])
-    cols.extend(kernel)
-    u = np.column_stack(cols) if cols else np.zeros((a.dim, 0))
-    r = np.array([p[2] for p in pairs])
-    return YoulaResult(u=u, r=r, kernel_dim=len(kernel))
-
-
 def polar_kappa(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL, spectrum=None):
     """The anticonjugation kappa of A = kappa |A|, without the modulus.
 
@@ -182,5 +170,13 @@ def polar_kappa(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL, spectrum=None):
 
 
 def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
-    """Factor A = kappa |A| with kappa (see polar_kappa) commuting with |A|."""
-    return PolarResult(kappa=polar_kappa(a, tol, rank_tol), modulus=modulus(a, tol))
+    """Factor A = kappa |A| with kappa (see polar_kappa) commuting with |A|.
+
+    kappa and |A| come from one singular spectrum: A is skew, so mat mat*
+    is A# A and its eigenvectors with the singular values give |A|.
+    """
+    spectrum = matcore.singular_spectrum(a.mat)
+    return PolarResult(
+        kappa=polar_kappa(a, tol, rank_tol, spectrum=spectrum),
+        modulus=_modulus_from_spectrum(spectrum),
+    )

@@ -82,17 +82,16 @@ def _check_polar(report, a, polar, tol):
 
 def _check_g_properties(report, a, kappa, tol):
     res = wvn_mod.spectral_resolution(a, tol)
-    part = wvn_mod.Partition(res.a, res.b, 4)
+    cell = res.cells(4)
     bound = 1e-10 * (1.0 + res.b) * (1.0 + res.b)  # inf, not OverflowError, past 1e154
     total = np.zeros((a.dim, a.dim), dtype=complex)
-    for i, cell in enumerate(part.cells()):
-        e = res.projection_for(cell)
-        g = wvn_mod.spectral_measure_G(a, kappa, cell, res=res)
+    for i in range(4):
+        e = res.projection(cell == i)
+        g = wvn_mod.spectral_measure_G(a, kappa, cell == i, res=res)
         report.add(f"g_square_cell{i+1}", frob(g.compose(g) + e), bound)
         report.add(f"g_sharp_cell{i+1}", frob(g.sharp().mat + g.mat), bound)
         total = total + g.mat
-    full = wvn_mod.Interval(res.a, res.b, closed_right=True)
-    g_full = wvn_mod.spectral_measure_G(a, kappa, full, res=res)
+    g_full = wvn_mod.spectral_measure_G(a, kappa, cell < 4, res=res)  # omega = [a, b]
     report.add("g_full_is_kappa", frob(g_full.mat - kappa.mat), bound)
     report.add("g_additive", frob(total - g_full.mat), bound)
 

@@ -9,14 +9,6 @@ class DimensionMismatch(SkewvnError):
     pass
 
 
-class NotHermitian(SkewvnError):
-    pass
-
-
-class NotPSD(SkewvnError):
-    pass
-
-
 class NotOrthonormal(SkewvnError):
     pass
 

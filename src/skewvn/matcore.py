@@ -1,17 +1,17 @@
 """Dense complex-matrix primitives.
 
 Everything downstream works on square complex numpy arrays.  The helpers
-here pin down the tolerance conventions: Hermitian eigendecomposition with
-a residual contract, the positive-semidefinite square root with eigenvalue
-clamping, and Gram-Schmidt orthonormalization with an explicit drop
-threshold.
+here pin down the tolerance and scaling conventions: the singular spectrum
+(values and the eigenvectors of mat mat*) that every spectral object is
+read from, norms and spectra taken on an exact power-of-two prescale, and
+Gram-Schmidt orthonormalization with an explicit drop threshold.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
+from .errors import DimensionMismatch
 
 DEFAULT_TOL = 1e-10
 
@@ -34,49 +34,16 @@ def require_square(m):
 
 
 def frob(m):
-    return float(np.linalg.norm(m, "fro"))
+    """Frobenius norm, taken on m 2^-e so that squaring the entries neither
+    overflows nor underflows; it scales exactly with m."""
+    shift = pow2_exponent(m)
+    return float(np.ldexp(np.linalg.norm(m * math.ldexp(1.0, -shift), "fro"), shift))
 
 
 def opnorm(m):
     if min(np.asarray(m).shape, default=0) == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def hermitian_eig(h, tol=DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, V)`` with eigenvalues ascending and
-    ``h = V diag(w) V*``.  Raises NotHermitian when the input deviates from
-    its adjoint by more than ``tol * (1 + ||h||_F)``.
-    """
-    h = require_square(h)
-    scale = 1.0 + frob(h)
-    if frob(h - h.conj().T) > tol * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    # eigh sees the exactly Hermitian average, keeping the reconstruction
-    # residual at the tol level even for inputs off by almost tol.
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return w, v
-
-
-def psd_sqrt(h, tol=DEFAULT_TOL):
-    """Positive-semidefinite square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-tol*(1+||h||_F), 0) are clamped to zero so the result
-    is exactly PSD; anything below that raises NotPSD.  Positive
-    eigenvalues below the same threshold are clamped too: they are noise
-    of the same size, and their square roots (~sqrt(tol)) would dominate
-    the error of the result while changing S*S by at most tol.
-    """
-    h = require_square(h)
-    w, v = hermitian_eig(h, tol)
-    scale = 1.0 + frob(h)
-    if w.size and w[0] < -tol * scale:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -tol*(1+||H||)")
-    w = np.where(w < tol * scale, 0.0, w)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2.0
 
 
 def orthonormalize(vectors, tol=DEFAULT_TOL):
@@ -111,8 +78,8 @@ def orthonormal_columns(mat, tol=DEFAULT_TOL):
 
 def pow2_exponent(mat):
     """e with max|mat| in [2^(e-1), 2^e), so that mat * 2^-e is exact and of
-    order one; 0 for an empty or zero matrix."""
-    return int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
+    order one; 0 for an empty or zero matrix.  e >= -1022 keeps 2^-e finite."""
+    return max(int(np.frexp(np.max(np.abs(mat), initial=0.0))[1]), -1022)
 
 
 def singular_spectrum(mat):
@@ -124,12 +91,14 @@ def singular_spectrum(mat):
     """
     mat = as_matrix(mat)
     # exact power-of-two prescale: the Gram matrix of a matrix near 2^+-600
-    # would overflow or underflow, and the vectors do not depend on the scale
-    scaled = mat * math.ldexp(1.0, -pow2_exponent(mat))
+    # would overflow or underflow, the vectors do not depend on the scale,
+    # and the values scale back exactly
+    shift = pow2_exponent(mat)
+    scaled = mat * math.ldexp(1.0, -shift)
+    s = np.ldexp(np.linalg.svd(scaled, compute_uv=False)[::-1], shift)
     gram = scaled @ scaled.conj().T
     del scaled
     _w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    s = np.linalg.svd(mat, compute_uv=False)[::-1]
     return s, v
 
 

@@ -7,10 +7,13 @@ and cancel the off-diagonal coupling with a small skew-self-adjoint
 perturbation.  Iterating with a halving norm budget yields A = K + D with
 ||K||_p < epsilon and D block skew-diagonal.
 
-Each outer step doubles the cell count until its perturbation fits the
-budget.  The attempts are screened in the eigenbasis of |A|, where the step
-is block-diagonal by cell, at O(n^2) cost each; only the attempt that the
+Each outer step factors its operator once, for kappa and the resolution of
+|A|, and doubles the cell count until its perturbation fits the budget.
+The attempts are screened in the eigenbasis of |A|, where the step is
+block-diagonal by cell, at O(n^2) cost each; only the attempt that the
 screen cannot reject is formed densely and certified by its Schatten norm.
+Youla puts each captured block of D in block form; the numerical kernel
+left at the end joins the basis as pairs with d = 0.
 """
 
 import math
@@ -26,7 +29,7 @@ from .antilinear import (
     is_tau_skew_symmetric,
     tau_fixed_basis,
 )
-from .canonical import CLUSTER_TOL, antilinear_block_skew_diagonalize, polar_kappa
+from .canonical import CLUSTER_TOL, block_skew_matrix, polar_kappa, youla_decompose
 from .errors import (
     BudgetFailure,
     InvalidP,
@@ -52,45 +55,6 @@ SCREEN_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Interval:
-    """[lo, hi) half-open cell, closed on the right when closed_right."""
-
-    lo: float
-    hi: float
-    closed_right: bool = False
-
-    def contains(self, x):
-        if self.closed_right:
-            return self.lo <= x <= self.hi
-        return self.lo <= x < self.hi
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Uniform partition of [a, b] into n cells, the last one closed at b."""
-
-    a: float
-    b: float
-    n: int
-
-    def cells(self):
-        h = (self.b - self.a) / self.n
-        out = []
-        for k in range(1, self.n + 1):
-            lo = self.a + (k - 1) * h
-            hi = self.a + k * h
-            if k == self.n:
-                out.append(Interval(lo, self.b, closed_right=True))
-            else:
-                out.append(Interval(lo, hi))
-        return out
-
-    @property
-    def norm(self):
-        return (self.b - self.a) / self.n
-
-
-@dataclass(frozen=True)
 class SpectralResolution:
     """Clustered eigenvectors of |A|, so that E(omega) f = V_omega (V_omega* f).
 
@@ -107,10 +71,19 @@ class SpectralResolution:
         """Orthonormal basis of the eigenspace of cluster j."""
         return self.vectors[:, self.cluster_of == j]
 
-    def projection_for(self, omega):
-        """Dense eigenprojection onto the clusters with value inside omega."""
-        inside = np.array([omega.contains(lam) for lam in self.eigenvalues], dtype=bool)
-        v = self.vectors[:, inside[self.cluster_of]]
+    def cells(self, n):
+        """Cell of each cluster in the uniform partition of [a, b] into n
+        cells [a + (k-1)h, a + kh), the last one closed at b; n for a value
+        above b."""
+        lam = self.eigenvalues
+        edges = self.a + np.arange(1, n) * ((self.b - self.a) / n)
+        cell = np.searchsorted(edges, lam, side="right")
+        cell[lam > self.b] = n
+        return cell
+
+    def projection(self, clusters):
+        """Dense eigenprojection E(omega) onto the clusters in a boolean mask."""
+        v = self.vectors[:, clusters[self.cluster_of]]
         return v @ v.conj().T
 
 
@@ -158,11 +131,12 @@ def spectral_resolution(a, tol=DEFAULT_TOL, spectrum=None):
     )
 
 
-def spectral_measure_G(a, kappa, omega, res=None):
-    """G(omega) = kappa E(omega), the antilinear spectral measure of A."""
+def spectral_measure_G(a, kappa, clusters, res=None):
+    """G(omega) = kappa E(omega), the antilinear spectral measure of A, with
+    omega given by a boolean mask over the clusters of ``res``."""
     if res is None:
         res = spectral_resolution(a)
-    e = res.projection_for(omega)
+    e = res.projection(clusters)
     return AntilinearOperator(kappa.mat @ np.conj(e))
 
 
@@ -183,19 +157,12 @@ class _CellCut:
 
 
 def _cut_cells(res, f, n):
-    """Place the clusters in cells and split the seed along them.
-
-    Clusters go to cells by searchsorted on the edge floats that
-    ``Partition.cells`` uses, so membership is that of ``Interval.contains``.
-    """
+    """Place the clusters in cells (``res.cells``) and split the seed along them."""
     f = np.asarray(f, dtype=complex).reshape(-1)
     fnorm = np.linalg.norm(f)
     if fnorm == 0.0:
         raise ZeroVector("seed vector is zero")
-    lam = res.eigenvalues
-    edges = res.a + np.arange(1, n) * ((res.b - res.a) / n)
-    cell = np.searchsorted(edges, lam, side="right")
-    cell[lam > res.b] = n  # outside [a, b]: in no cell
+    cell = res.cells(n)
     col_cell = cell[res.cluster_of]
     coef = res.vectors.conj().T @ f
     mass = np.bincount(col_cell, weights=np.abs(coef) ** 2, minlength=n + 1)
@@ -300,8 +267,10 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     Repeats the rank-projection step on the unexplored complement, seeding
     each step with the first standard basis vector not yet captured and
     doubling the partition size until the step perturbation fits the
-    halving budget epsilon / 2^j.  Each captured block is then exactly
-    skew-diagonalized to produce the paired basis and the d-sequence.
+    halving budget epsilon / 2^j, and stopping once the compression to the
+    complement is below rank_tol * ||A||, that is numerical kernel.  Each
+    captured block is then exactly skew-diagonalized to produce the paired
+    basis and the d-sequence; the kernel left over is paired with d = 0.
     D is A plus the sum of the step perturbations and K is minus that sum,
     so A - K - D vanishes exactly.  Raises BudgetFailure as soon as finer
     cells cannot change a step that misses its budget.
@@ -322,11 +291,16 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
         sub = w.conj().T @ (mat + k_total) @ np.conj(w)
         a_sub = AntilinearOperator(sub)
         spectrum = matcore.singular_spectrum(sub)
+        s = spectrum[0]
         if step_index == 1:  # sub is A itself
-            s = spectrum[0]
-            kernel_dim = int(np.count_nonzero(s <= rank_tol * s[-1]))
+            norm_a = s[-1]
+            kernel_dim = int(np.count_nonzero(s <= rank_tol * norm_a))
             if kernel_dim % 2 != 0:
                 raise OddKernel(f"numerical kernel dimension {kernel_dim} is odd")
+        elif s[-1] <= rank_tol * norm_a:
+            # the rest is numerical kernel of A; its own roundoff spectrum
+            # need not pair, so it is not decomposed further
+            break
         # seed: first standard basis vector with mass left in the complement
         seeds = np.flatnonzero(np.linalg.norm(w, axis=1) > SEED_TOL)
         if seeds.size == 0:
@@ -365,11 +339,16 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     d_values = []
     for vb in blocks:
         sub_d = vb.conj().T @ d_mat @ np.conj(vb)
-        yres = antilinear_block_skew_diagonalize(AntilinearOperator(sub_d), tol=1e-8)
-        # columns come in (e, f) pairs: one per r_j, then the kernel pairs with d = 0
+        yres = youla_decompose(sub_d, tol=1e-8)
+        # Youla columns hold (f, e) for each r_j, then the kernel pairs with d = 0
         cols = vb @ yres.u
-        basis.extend((cols[:, j], cols[:, j + 1]) for j in range(0, cols.shape[1], 2))
+        paired = 2 * yres.r.size
+        basis.extend((cols[:, j + 1], cols[:, j]) for j in range(0, paired, 2))
+        basis.extend((cols[:, j], cols[:, j + 1]) for j in range(paired, cols.shape[1], 2))
         d_values.extend([float(r) for r in yres.r] + [0.0] * (yres.kernel_dim // 2))
+    # the numerical kernel left when the loop stops early, d = 0
+    basis.extend((w[:, j], w[:, j + 1]) for j in range(0, w.shape[1], 2))
+    d_values.extend([0.0] * (w.shape[1] // 2))
 
     k = AntilinearOperator(-k_total)
     return WvnResult(
@@ -381,15 +360,6 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
         epsilon=epsilon,
         achieved_norm=schatten_norm(k, p),
     )
-
-def block_skew_matrix(d_values, dim):
-    """Direct sum of d_j [[0, 1], [-1, 0]] blocks padded with zeros."""
-    out = np.zeros((dim, dim), dtype=complex)
-    for j, d in enumerate(d_values):
-        out[2 * j, 2 * j + 1] = d
-        out[2 * j + 1, 2 * j] = -d
-    return out
-
 
 @dataclass(frozen=True)
 class SkewWvnResult:

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from skewvn.antilinear import AntilinearOperator
-from skewvn.canonical import (
-    K2,
-    antilinear_block_skew_diagonalize,
-    polar_factorize,
-    youla_decompose,
-)
-from skewvn.errors import NotSkewSelfAdjoint, NotSkewSymmetric, OddKernel
+from skewvn import matcore
+from skewvn.canonical import K2, polar_factorize, youla_decompose
+from skewvn.errors import NotSkewSymmetric, OddKernel
 from skewvn.matcore import frob
 
 
@@ -93,16 +89,22 @@ def test_multiplicity_evenness():
         assert all(len(c) % 2 == 0 for c in clusters)
 
 
+def compression(a, u):
+    """Matrix of U* o A o U for the antilinear A: U* mat conj(U)."""
+    return u.conj().T @ a.mat @ np.conj(u)
+
+
 def test_antilinear_block_exact():
     a = AntilinearOperator(np.array([[0, -3], [3, 0]], dtype=complex))
-    result = antilinear_block_skew_diagonalize(a)
+    result = youla_decompose(a.mat)
     assert np.allclose(result.r, [3.0])
-    compressed = result.u.conj().T @ a.mat @ np.conj(result.u)
-    assert frob(compressed - 3 * K2) <= 1e-10
+    # the pair (e, f) = (column 1, column 0) carries the block 3 K2
+    assert frob(compression(a, result.u[:, ::-1]) - 3 * K2) <= 1e-10
+    assert frob(compression(a, result.u) - result.block_matrix()) <= 1e-10
 
 
 def test_antilinear_block_zero():
-    result = antilinear_block_skew_diagonalize(AntilinearOperator(np.zeros((4, 4))))
+    result = youla_decompose(AntilinearOperator(np.zeros((4, 4))).mat)
     assert result.r.size == 0
     assert result.kernel_dim == 4
 
@@ -114,18 +116,17 @@ def test_antilinear_block_construct_recover():
     b[:2, :2] = 2 * K2
     b[2:, 2:] = 1 * K2
     a = AntilinearOperator(u0 @ b @ u0.T)
-    result = antilinear_block_skew_diagonalize(a)
+    result = youla_decompose(a.mat)
     assert np.allclose(result.r, [2.0, 1.0], atol=1e-10)
     target = np.zeros((4, 4), dtype=complex)
     for j, r in enumerate(result.r):
-        target[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = r * K2
-    compressed = result.u.conj().T @ a.mat @ np.conj(result.u)
-    assert frob(compressed - target) <= 1e-9
+        target[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = -r * K2
+    assert frob(compression(a, result.u) - target) <= 1e-9
 
 
 def test_antilinear_block_rejects_non_skew():
-    with pytest.raises(NotSkewSelfAdjoint):
-        antilinear_block_skew_diagonalize(AntilinearOperator(np.eye(4)))
+    with pytest.raises(NotSkewSymmetric):
+        youla_decompose(AntilinearOperator(np.eye(4)).mat)
 
 
 def test_polar_exact_two_by_two():
@@ -179,14 +180,6 @@ def test_polar_kappa_commutes_with_spectral_projections():
         assert frob(k @ np.conj(proj) - proj @ k) <= 1e-9
 
 
-def test_youla_antilinear_consistency():
-    rng = np.random.default_rng(35)
-    m = random_skew(rng, 9)
-    r_youla = youla_decompose(m).r
-    r_anti = antilinear_block_skew_diagonalize(AntilinearOperator(m)).r
-    assert np.allclose(r_youla, r_anti, atol=1e-9)
-
-
 def test_youla_and_polar_scale_by_powers_of_two():
     # the Gram matrix of an input near 2^+-600 overflows or underflows
     # unless it is prescaled; the prescale is exact, so outputs scale exactly
@@ -203,3 +196,28 @@ def test_youla_and_polar_scale_by_powers_of_two():
         p = polar_factorize(AntilinearOperator(scaled))
         assert np.array_equal(p.kappa.mat, polar.kappa.mat)
         assert np.array_equal(p.modulus, polar.modulus * 2.0**shift)
+
+
+def test_youla_rejects_non_skew_at_huge_scale():
+    # frob works on m 2^-e, so the skew check neither overflows nor passes
+    # a non-skew matrix at 2^600
+    with pytest.raises(NotSkewSymmetric):
+        youla_decompose(np.arange(16.0).reshape(4, 4) * 2.0**600)
+
+
+def test_polar_factorizes_once(monkeypatch):
+    # kappa and |A| come from one singular spectrum
+    calls = []
+    real = matcore.singular_spectrum
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(matcore, "singular_spectrum", counting)
+    a = AntilinearOperator(random_skew(np.random.default_rng(36), 10))
+    result = polar_factorize(a)
+    assert calls == [(10, 10)]
+    scale = 1e-12 * (1 + frob(a.mat))
+    assert frob(a.mat - result.kappa.mat @ np.conj(result.modulus)) <= scale
+    assert frob(result.modulus - result.modulus.conj().T) <= scale

@@ -250,3 +250,17 @@ def test_cli_power_of_two_scaled_input(tmp_path):
     eps = repr(1e-2 * 2.0**-600)
     assert main(["wvn", mpath, "--epsilon", eps, "--out-prefix", str(tmp_path / "w")]) == 0
     assert main(["verify", mpath, "--epsilon", eps]) == 0
+
+
+def test_cli_kernel_heavy_input(tmp_path):
+    # rank n/2 with a numerical kernel of dimension n/2: wvn used to raise
+    # ConvergenceFailure on the roundoff spectrum of the leftover kernel
+    mpath = str(tmp_path / "m.cmat")
+    assert main(["gen", "--kind", "skew-symmetric-rank", "--dim", "64", "--rank", "32",
+                 "--seed", "2", "--out", mpath]) == 0
+    prefix = str(tmp_path / "w")
+    assert main(["wvn", mpath, "--epsilon", "1e-2", "--out-prefix", prefix]) == 0
+    assert main(["verify", mpath, "--epsilon", "1e-2"]) == 0
+    sw = str(tmp_path / "sw")
+    assert main(["skew-wvn", mpath, "--epsilon", "1e-2", "--out-prefix", sw]) == 0
+    assert main(["verify", mpath, "--decomp-prefix", sw, "--epsilon", "1e-2"]) == 0

@@ -1,83 +1,12 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from skewvn import matcore
-from skewvn.errors import DimensionMismatch, NotHermitian, NotPSD
 
 
 def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def test_hermitian_eig_diagonal():
-    w, v = matcore.hermitian_eig(np.diag([2.0, 1.0]))
-    assert np.allclose(w, [1.0, 2.0])
-    # V is a permutation of identity columns up to phase
-    assert np.allclose(np.abs(v), [[0, 1], [1, 0]])
-
-
-def test_hermitian_eig_identity():
-    w, v = matcore.hermitian_eig(np.eye(3))
-    assert np.allclose(w, [1.0, 1.0, 1.0])
-
-
-def test_hermitian_eig_random_residual():
-    rng = np.random.default_rng(42)
-    b = random_complex(rng, 8, 8)
-    h = b + b.conj().T
-    tol = 1e-10
-    w, v = matcore.hermitian_eig(h, tol)
-    scale = 1.0 + matcore.frob(h)
-    assert matcore.frob(v @ np.diag(w) @ v.conj().T - h) <= 10 * tol * scale
-    assert matcore.frob(v.conj().T @ v - np.eye(8)) <= 10 * tol * np.sqrt(8)
-    assert np.all(np.diff(w) >= 0)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        matcore.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_eig_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        matcore.hermitian_eig(np.zeros((2, 3)))
-
-
-def test_psd_sqrt_diagonal():
-    s = matcore.psd_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(s, np.diag([2.0, 3.0]))
-
-
-def test_psd_sqrt_zero():
-    assert np.allclose(matcore.psd_sqrt(np.zeros((3, 3))), 0.0)
-
-
-def test_psd_sqrt_from_factor():
-    rng = np.random.default_rng(7)
-    b = random_complex(rng, 6, 6)
-    h = b @ b.conj().T
-    s = matcore.psd_sqrt(h)
-    tol = 1e-10
-    assert matcore.frob(s @ s - h) <= 20 * tol * (1.0 + matcore.frob(h))
-    assert matcore.frob(s - s.conj().T) <= 1e-12 * (1.0 + matcore.frob(s))
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSD):
-        matcore.psd_sqrt(np.diag([1.0, -1.0]))
-
-
-def test_psd_sqrt_involution():
-    # sqrt of a squared PSD matrix recovers the matrix
-    rng = np.random.default_rng(3)
-    b = random_complex(rng, 5, 5)
-    q, _ = np.linalg.qr(b)
-    s = q @ np.diag([3.0, 2.0, 1.0, 0.5, 0.0]) @ q.conj().T
-    s = (s + s.conj().T) / 2
-    back = matcore.psd_sqrt(s @ s)
-    assert matcore.frob(back - s) <= 1e-9 * (1.0 + matcore.frob(s))
 
 
 def test_orthonormalize_scaling():
@@ -116,3 +45,25 @@ def test_orthonormalize_gram_identity():
     out = matcore.orthonormalize(vecs)
     g = np.array([[np.vdot(u, v) for v in out] for u in out])
     assert matcore.frob(g - np.eye(len(out))) <= 1e-12
+
+
+def test_singular_spectrum_values_scale_exactly():
+    # the SVD runs on the power-of-two prescaled matrix, so the values of
+    # m 2^k are those of m times 2^k bit for bit, and the vectors are equal
+    rng = np.random.default_rng(17)
+    m = random_complex(rng, 12, 12)
+    s, v = matcore.singular_spectrum(m)
+    assert np.allclose(s, np.linalg.svd(m, compute_uv=False)[::-1])
+    for k in (600, -600):
+        s_k, v_k = matcore.singular_spectrum(m * 2.0**k)
+        assert np.array_equal(s_k, s * 2.0**k)
+        assert np.array_equal(v_k, v)
+
+
+def test_frob_scales_exactly():
+    rng = np.random.default_rng(19)
+    m = random_complex(rng, 5, 5)
+    assert matcore.frob(m) == float(np.linalg.norm(m, "fro"))
+    for k in (600, -600):
+        assert matcore.frob(m * 2.0**k) == matcore.frob(m) * 2.0**k
+    assert matcore.frob(np.zeros((3, 3))) == 0.0
