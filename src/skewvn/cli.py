@@ -1,48 +1,23 @@
 """Command-line front end.
 
-Subcommands: gen, youla, polar, wvn, skew-wvn, verify.  Outputs are CMAT
-files plus a plain-text report with one check per line in the format
+Subcommands: gen, youla, polar, wvn, skew-wvn, verify.  This module parses
+arguments, reads and writes files and runs the decompositions; every report
+line, residual and bound comes from ``checks``.  Outputs are CMAT files plus
+a plain-text report with one check per line in the format
 ``<name> <PASS|FAIL> residual=<float> bound=<float>``.  Exit codes: 0 all
 checks pass, 1 a verification check failed, 2 input or usage error.
 """
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical, cmatio, generate, wvn as wvn_mod
+from . import canonical, checks, cmatio, generate, wvn as wvn_mod
 from .antilinear import AntilinearOperator, Conjugation
+from .checks import VerificationReport
 from .errors import OddKernel, SkewvnError
-from .matcore import DEFAULT_TOL, frob
-from .schatten import schatten_norm, singular_values
-
-
-@dataclass
-class VerificationReport:
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-
-    def add(self, name, residual, bound):
-        status = "PASS" if residual <= bound else "FAIL"
-        self.checks.append((name, status, float(residual), float(bound)))
-
-    def note(self, text):
-        self.notes.append(text)
-
-    @property
-    def all_pass(self):
-        return all(status == "PASS" for _, status, _, _ in self.checks)
-
-    def render(self):
-        lines = [
-            f"{name} {status} residual={residual!r} bound={bound!r}"
-            for name, status, residual, bound in self.checks
-        ]
-        lines.extend(f"# {note}" for note in self.notes)
-        return "\n".join(lines) + "\n"
+from .matcore import DEFAULT_TOL
 
 
 def _write_report(prefix, report):
@@ -56,98 +31,20 @@ def _write_values(prefix, values):
         fh.write(" ".join(repr(v) for v in vals) + "\n")
 
 
-def _check_youla(report, m, result, tol):
-    n = m.shape[0]
-    recon = result.u @ result.block_matrix() @ result.u.T
-    report.add("youla_roundtrip", frob(m - recon), tol * (1.0 + frob(m)))
-    report.add(
-        "youla_unitary",
-        frob(result.u.conj().T @ result.u - np.eye(n)),
-        tol * max(1.0, np.sqrt(n)),
-    )
-
-
-def _check_polar(report, a, polar, tol):
-    k = polar.kappa.mat
-    s = polar.modulus
-    n = a.dim
-    scale = tol * (1.0 + frob(a.mat))
-    report.add("polar_factor", frob(a.mat - k @ np.conj(s)), scale)
-    report.add("polar_commute", frob(k @ np.conj(s) - s @ k), scale)
-    unit = max(1.0, np.sqrt(n)) * tol
-    report.add("kappa_unitary", frob(k.conj().T @ k - np.eye(n)), unit)
-    report.add("kappa_square", frob(k @ np.conj(k) + np.eye(n)), unit)
-    report.add("kappa_skew", frob(k + k.T), unit)
-
-
-def _check_g_properties(report, a, kappa, tol):
-    res = wvn_mod.spectral_resolution(a, tol)
-    cell = res.cells(4)
-    bound = 1e-10 * (1.0 + res.b) * (1.0 + res.b)  # inf, not OverflowError, past 1e154
-    total = np.zeros((a.dim, a.dim), dtype=complex)
-    for i in range(4):
-        e = res.projection(cell == i)
-        g = wvn_mod.spectral_measure_G(a, kappa, cell == i, res=res)
-        report.add(f"g_square_cell{i+1}", frob(g.compose(g) + e), bound)
-        report.add(f"g_sharp_cell{i+1}", frob(g.sharp().mat + g.mat), bound)
-        total = total + g.mat
-    g_full = wvn_mod.spectral_measure_G(a, kappa, cell < 4, res=res)  # omega = [a, b]
-    report.add("g_full_is_kappa", frob(g_full.mat - kappa.mat), bound)
-    report.add("g_additive", frob(total - g_full.mat), bound)
-
-
-def _check_wvn(report, a, result, tol):
-    mat = a.mat
-    scale = 1.0 + frob(mat)
-    report.add(
-        "wvn_reconstruction",
-        frob(mat - result.k.mat - result.d.mat),
-        1e-10 * scale,
-    )
-    report.add(
-        "wvn_norm_budget", result.achieved_norm, result.epsilon
-    )
-    block = np.zeros_like(mat)
-    for (e, f), d in zip(result.basis, result.d_values):
-        block += d * (np.outer(f, e) - np.outer(e, f))
-    report.add("wvn_block_residual", frob(result.d.mat - block), 1e-9 * scale)
-    s_a = singular_values(a)
-    s_d = singular_values(result.d)
-    k_op = schatten_norm(result.k, math.inf)
-    report.add(
-        "wvn_weyl_stability",
-        float(np.max(np.abs(s_a - s_d))),
-        k_op + 1e-9,
-    )
-
-
 def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     """Aggregate verification; returns (report, exit_code)."""
     report = VerificationReport()
-    scale = 1.0 + frob(m)
-    report.add("skew_symmetry", frob(m + m.T), tol * scale)
+    checks.skew_symmetry(report, m, tol)
     if not report.all_pass:
         return report, 1
 
     if decomp is not None:
         k, d, u = decomp
-        n = m.shape[0]
-        report.add(
-            "decomp_unitary",
-            frob(u.conj().T @ u - np.eye(n)),
-            tol * max(1.0, np.sqrt(n)),
-        )
-        report.add("decomp_block_structure", _block_structure_residual(d), 1e-9)
-        report.add(
-            "decomp_reconstruction", frob(m - k - u @ d @ u.T), 1e-9 * scale
-        )
-        report.add("decomp_k_skew", frob(k + k.T), 1e-9 * (1.0 + frob(k)))
-        if epsilon is not None:
-            report.add("decomp_k_norm", schatten_norm(k, p), epsilon)
-        return report, (0 if report.all_pass else 1)
+        checks.decomposition(report, "decomp", m, k, d, u, tol, epsilon, p)
+        return report, report.exit_code
 
     youla = canonical.youla_decompose(m, tol)
-    _check_youla(report, m, youla, max(tol, 1e-9))
+    checks.youla(report, m, youla.u, youla.block_matrix(), tol)
 
     a = AntilinearOperator(m)
     try:
@@ -155,22 +52,15 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     except OddKernel as exc:
         report.note(f"OddKernel: {exc}")
         return report, 2
-    _check_polar(report, a, polar, max(tol, 1e-9))
-    _check_g_properties(report, a, polar.kappa, tol)
+    checks.polar(report, m, polar.kappa.mat, polar.modulus, tol)
+    checks.spectral_measure(report, m, polar.kappa.mat, tol)
 
     if epsilon is not None:
         result = wvn_mod.wvn_decompose(a, epsilon, p, tol, rank_tol)
-        _check_wvn(report, a, result, tol)
+        checks.wvn(report, m, result.k.mat, result.d.mat, result.basis,
+                   result.d_values, epsilon, p)
 
-    return report, (0 if report.all_pass else 1)
-
-
-def _block_structure_residual(d):
-    """How far D is from a direct sum of d_j [[0,1],[-1,0]] blocks."""
-    n = d.shape[0]
-    values = [d[2 * j, 2 * j + 1].real for j in range(n // 2)]
-    model = wvn_mod.block_skew_matrix(values, n)
-    return frob(d - model)
+    return report, report.exit_code
 
 
 def _add_common(parser):
@@ -193,31 +83,19 @@ def build_parser():
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
 
-    p_youla = sub.add_parser("youla", help="Youla block skew-diagonalization")
-    p_youla.add_argument("matrix")
-    p_youla.add_argument("--out-prefix", required=True)
-    _add_common(p_youla)
-
-    p_polar = sub.add_parser("polar", help="anticonjugation polar factorization")
-    p_polar.add_argument("matrix")
-    p_polar.add_argument("--out-prefix", required=True)
-    _add_common(p_polar)
-
-    p_wvn = sub.add_parser("wvn", help="Weyl-von Neumann decomposition (antilinear)")
-    p_wvn.add_argument("matrix")
-    p_wvn.add_argument("--epsilon", type=float, required=True)
-    p_wvn.add_argument("--p", type=float, default=2.0)
-    p_wvn.add_argument("--out-prefix", required=True)
-    _add_common(p_wvn)
-
-    p_swvn = sub.add_parser(
-        "skew-wvn", help="Weyl-von Neumann decomposition (linear skew-symmetric)"
-    )
-    p_swvn.add_argument("matrix")
-    p_swvn.add_argument("--epsilon", type=float, required=True)
-    p_swvn.add_argument("--p", type=float, default=2.0)
-    p_swvn.add_argument("--out-prefix", required=True)
-    _add_common(p_swvn)
+    for name, text in (
+        ("youla", "Youla block skew-diagonalization"),
+        ("polar", "anticonjugation polar factorization"),
+        ("wvn", "Weyl-von Neumann decomposition (antilinear)"),
+        ("skew-wvn", "Weyl-von Neumann decomposition (linear skew-symmetric)"),
+    ):
+        p_dec = sub.add_parser(name, help=text)
+        p_dec.add_argument("matrix")
+        if name in ("wvn", "skew-wvn"):
+            p_dec.add_argument("--epsilon", type=float, required=True)
+            p_dec.add_argument("--p", type=float, default=2.0)
+        p_dec.add_argument("--out-prefix", required=True)
+        _add_common(p_dec)
 
     p_verify = sub.add_parser("verify", help="run the residual check suite")
     p_verify.add_argument("matrix")
@@ -236,16 +114,21 @@ def _cmd_gen(args):
     return 0
 
 
+def _finish(prefix, check, *args):
+    """Run one check of ``checks`` into a new report and write it."""
+    report = VerificationReport()
+    check(report, *args)
+    _write_report(prefix, report)
+    return report.exit_code
+
+
 def _cmd_youla(args):
     m = cmatio.read_cmat(args.matrix)
     result = canonical.youla_decompose(m, args.tol)
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
     cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.block_matrix())
     _write_values(args.out_prefix, result.r)
-    report = VerificationReport()
-    _check_youla(report, m, result, max(args.tol, 1e-9))
-    _write_report(args.out_prefix, report)
-    return 0 if report.all_pass else 1
+    return _finish(args.out_prefix, checks.youla, m, result.u, result.block_matrix(), args.tol)
 
 
 def _cmd_polar(args):
@@ -254,10 +137,7 @@ def _cmd_polar(args):
     result = canonical.polar_factorize(a, tol=args.tol, rank_tol=args.rank_tol)
     cmatio.write_cmat(f"{args.out_prefix}.K.cmat", result.kappa.mat)
     cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.modulus)
-    report = VerificationReport()
-    _check_polar(report, a, result, max(args.tol, 1e-9))
-    _write_report(args.out_prefix, report)
-    return 0 if report.all_pass else 1
+    return _finish(args.out_prefix, checks.polar, m, result.kappa.mat, result.modulus, args.tol)
 
 
 def _cmd_wvn(args):
@@ -266,16 +146,11 @@ def _cmd_wvn(args):
     result = wvn_mod.wvn_decompose(a, args.epsilon, args.p, args.tol, args.rank_tol)
     cmatio.write_cmat(f"{args.out_prefix}.K.cmat", result.k.mat)
     cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.d.mat)
-    cols = []
-    for e, f in result.basis:
-        cols.extend([e, f])
-    u = np.column_stack(cols)
+    u = np.column_stack([v for pair in result.basis for v in pair])
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", u)
     _write_values(args.out_prefix, result.d_values)
-    report = VerificationReport()
-    _check_wvn(report, a, result, args.tol)
-    _write_report(args.out_prefix, report)
-    return 0 if report.all_pass else 1
+    return _finish(args.out_prefix, checks.wvn, m, result.k.mat, result.d.mat,
+                   result.basis, result.d_values, args.epsilon, args.p)
 
 
 def _cmd_skew_wvn(args):
@@ -288,35 +163,19 @@ def _cmd_skew_wvn(args):
     cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.d)
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
     _write_values(args.out_prefix, result.d_values)
-    report = VerificationReport()
-    scale = 1.0 + frob(m)
-    report.add(
-        "skew_wvn_reconstruction",
-        wvn_mod.skew_wvn_residual(m, tau, result),
-        1e-9 * scale,
-    )
-    report.add("skew_wvn_k_norm", result.achieved_norm, args.epsilon)
-    report.add(
-        "skew_wvn_k_skew", frob(result.k + result.k.T), 1e-9 * (1.0 + frob(result.k))
-    )
-    _write_report(args.out_prefix, report)
-    return 0 if report.all_pass else 1
+    return _finish(args.out_prefix, checks.decomposition, "skew_wvn", m, result.k,
+                   result.d, result.u, args.tol, args.epsilon, args.p)
 
 
 def _cmd_verify(args):
     m = cmatio.read_cmat(args.matrix)
     decomp = None
     if args.decomp_prefix is not None:
-        decomp = (
-            cmatio.read_cmat(f"{args.decomp_prefix}.K.cmat"),
-            cmatio.read_cmat(f"{args.decomp_prefix}.D.cmat"),
-            cmatio.read_cmat(f"{args.decomp_prefix}.U.cmat"),
-        )
+        decomp = [cmatio.read_cmat(f"{args.decomp_prefix}.{x}.cmat") for x in "KDU"]
     report, code = run_verify(
         m, args.tol, args.rank_tol, args.epsilon, args.p, decomp
     )
-    text = report.render()
-    sys.stdout.write(text)
+    sys.stdout.write(report.render())
     if args.out_prefix:
         _write_report(args.out_prefix, report)
     return code
@@ -337,10 +196,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SkewvnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SkewvnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,8 @@ The construction follows the finite-rank projection argument: split the
 spectrum of |A| into n cells, push a seed vector through the spectral
 projections to obtain an (f_k, kappa f_k) family, project onto its span,
 and cancel the off-diagonal coupling with a small skew-self-adjoint
-perturbation.  Iterating with a halving norm budget yields A = K + D with
-||K||_p < epsilon and D block skew-diagonal.
+perturbation.  Iterating, each step within half of the budget left, yields
+A = K + D with ||K||_p < epsilon and D block skew-diagonal.
 
 Each outer step factors its operator once, for kappa and the resolution of
 |A|, and doubles the cell count until its perturbation fits the budget.
@@ -266,11 +266,12 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
 
     Repeats the rank-projection step on the unexplored complement, seeding
     each step with the first standard basis vector not yet captured and
-    doubling the partition size until the step perturbation fits the
-    halving budget epsilon / 2^j, and stopping once the compression to the
-    complement is below rank_tol * ||A||, that is numerical kernel.  Each
-    captured block is then exactly skew-diagonalized to produce the paired
-    basis and the d-sequence; the kernel left over is paired with d = 0.
+    doubling the partition size until the step perturbation fits half of
+    the budget left, (epsilon - spent) / 2, and stopping once the
+    compression to the complement is below rank_tol * ||A||, that is
+    numerical kernel.  Each captured block is then exactly
+    skew-diagonalized to produce the paired basis and the d-sequence; the
+    kernel left over is paired with d = 0.
     D is A plus the sum of the step perturbations and K is minus that sum,
     so A - K - D vanishes exactly.  Raises BudgetFailure as soon as finer
     cells cannot change a step that misses its budget.
@@ -286,6 +287,7 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     w = np.eye(n, dtype=complex)  # orthonormal basis of the unexplored complement
     blocks = []
     step_index = 0
+    spent = 0.0  # sum of the accepted step norms
     while w.shape[1] > 0:
         step_index += 1
         sub = w.conj().T @ (mat + k_total) @ np.conj(w)
@@ -308,7 +310,7 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
         f_sub = w[seeds[0]].conj()
         kappa = polar_kappa(a_sub, tol=tol, rank_tol=rank_tol, spectrum=spectrum)
         res = spectral_resolution(a_sub, tol, spectrum=spectrum)
-        budget = epsilon / 2.0**step_index
+        budget = (epsilon - spent) / 2.0
         cells = 4
         while True:
             cut = _cut_cells(res, f_sub, cells)
@@ -329,6 +331,7 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
                         + ("; finer cells give the same step" if step.saturated else "")
                     )
             cells *= 2
+        spent += norm
         k_total = k_total + w @ step.k.mat @ w.T
         inside, outside = _projection_split(step.p)
         blocks.append(w @ inside)

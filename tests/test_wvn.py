@@ -581,6 +581,17 @@ def test_wvn_budget_failure_stops_when_cells_saturate(monkeypatch):
     assert "budget 5.000e-04" in message
 
 
+def test_wvn_budget_does_not_underflow_on_many_outer_steps():
+    # sixteen equal pairs take one outer step each; a budget of epsilon / 2^j
+    # fell below the roundoff of step 13 (||K|| = 2.8e-14 >= 1.2e-14), while
+    # half of the budget left stays near epsilon / 2
+    u = generate.random_unitary(np.random.default_rng(3), 32)
+    m = u @ block_skew_matrix(np.ones(16), 32) @ u.T
+    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-10)
+    assert result.achieved_norm < 1e-10
+    assert np.allclose(result.d_values, 1.0)
+
+
 def estimate_inputs():
     """Generic, clustered and near-degenerate inputs of size 16 ... 128."""
     rng = np.random.default_rng(53)
@@ -617,6 +628,7 @@ def dense_accepted_cells(a, epsilon, p=2.0):
     k_total = np.zeros((n, n), dtype=complex)
     w = np.eye(n, dtype=complex)
     accepted = []
+    spent = 0.0
     while w.shape[1] > 0:
         sub = AntilinearOperator(w.conj().T @ (a.mat + k_total) @ np.conj(w))
         seeds = np.flatnonzero(np.linalg.norm(w, axis=1) > wvn.SEED_TOL)
@@ -624,14 +636,17 @@ def dense_accepted_cells(a, epsilon, p=2.0):
             break
         kappa = polar_factorize(sub).kappa
         res = spectral_resolution(sub)
-        budget = epsilon / 2.0 ** (len(accepted) + 1)
+        # each step gets half of the budget left
+        budget = (epsilon - spent) / 2.0
         cells = 4
         while True:
             step = rank_projection_step(sub, kappa, w[seeds[0]].conj(), cells, res=res)
-            if schatten_norm(step.k, p) < budget:
+            norm = schatten_norm(step.k, p)
+            if norm < budget:
                 break
             cells *= 2
         accepted.append(cells)
+        spent += norm
         k_total = k_total + w @ step.k.mat @ w.T
         evals, evecs = np.linalg.eigh(step.p)
         w = w @ evecs[:, evals <= 0.5]
