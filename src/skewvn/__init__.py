@@ -28,7 +28,6 @@ from .canonical import (
 from .cmatio import read_cmat, write_cmat
 from .errors import (
     BudgetFailure,
-    ConvergenceFailure,
     DimensionMismatch,
     InvalidP,
     InvalidRank,

@@ -4,7 +4,9 @@ An antilinear operator is stored by the matrix of its composition with
 entrywise conjugation: ``A(x) = mat @ conj(x)``.  With this convention the
 antilinear adjoint is exactly the transpose, and skew-self-adjointness is
 exactly complex skew-symmetry of ``mat``.  The modulus |A| = (A# A)^(1/2)
-is read off the singular spectrum of ``mat^tr``; A# A is never square-rooted.
+of any A is read off one SVD of ``mat^tr``; A# A is never square-rooted.
+For a skew-self-adjoint A, ``canonical.youla_decompose`` gives |A| together
+with the anticonjugation of its polar factorization.
 """
 
 from dataclasses import dataclass
@@ -112,9 +114,6 @@ class Anticonjugation:
     def __call__(self, x):
         return self.mat @ np.conj(np.asarray(x, dtype=complex))
 
-    def as_operator(self):
-        return AntilinearOperator(self.mat)
-
 
 def is_skew_self_adjoint(a, tol=DEFAULT_TOL):
     """True iff A# = -A, i.e. the matrix is skew-symmetric within tol."""
@@ -126,14 +125,10 @@ def modulus(a):
     """|A|, the positive square root of A# A (a linear operator).
 
     A# A = mat^tr conj(mat) is the Gram matrix of mat^tr, so |A| is
-    V diag(s) V* with (s, V) the singular spectrum of mat^tr.
+    V diag(s) V* with s and V the singular values and left singular vectors
+    of mat^tr.
     """
-    return _modulus_from_spectrum(matcore.singular_spectrum(a.mat.T))
-
-
-def _modulus_from_spectrum(spectrum):
-    """V diag(s) V* from a ``matcore.singular_spectrum``."""
-    s, v = spectrum
+    v, s, _ = np.linalg.svd(a.mat.T)
     return (v * s) @ v.conj().T
 
 

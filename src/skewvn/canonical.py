@@ -1,19 +1,24 @@
 """Canonical forms of complex skew-symmetric matrices.
 
-Youla block skew-diagonalization ``M = U (sum of 2x2 blocks + 0) U^tr``
-and the polar-type factorization ``A = kappa |A| = |A| kappa`` through an
-anticonjugation.  Both are read off one ``matcore.singular_spectrum``: the
-pairing below gives U and kappa, and the same values and vectors give |A|.
-Read as an antilinear operator, M = U B U^tr says that U* o A o U is the
-block form B, with the pair (e_j, f_j) in columns (2j+1, 2j) of U.
+``youla_decompose`` is the one factorization of a skew matrix: a unitary U
+with M = U B U^tr, B the direct sum of blocks r_j [[0, 1], [-1, 0]] padded
+with zeros.  Read as an antilinear operator, U* o A o U is the block form B,
+with the pair (e_j, f_j) in columns (2j+1, 2j) of U.  The polar
+factorization A = kappa |A| = |A| kappa is read off it: kappa sends
+e_j -> f_j -> -e_j (the kernel columns paired in order) and
+|A| = U diag(r_1, r_1, r_2, r_2, ..., 0) U*.
 
-The pairing algorithm: eigendecompose the Hermitian PSD matrix mat mat*
-(whose eigenvalues are squared singular values, each with even
-multiplicity), cluster the singular values, and inside each positive
-cluster repeatedly pick a unit vector e orthogonal to the pairs already
-formed and set f = A(e)/r.  The orthogonality lemma <h, kappa h> = 0 makes
-e and f automatically orthogonal, so the pairing is stable whenever the
-clusters are.
+Every step is a unitary congruence, so the factorization is backward
+stable.  The eigenvectors W of the Gram matrix M M* (on an exact power-of-two
+prescale) compress M to C = W* M conj(W), which is block-diagonal by
+singular value cluster up to roundoff.  C splits into the contiguous
+diagonal blocks that no entry above COUPLING_EPS * eps * max|C| couples.  A
+2x2 block takes a phase.  A larger block is reduced by skew Householder
+congruence to tridiagonal form (Ward & Gray 1978; Wimmer 2012), a diagonal
+phase makes that real with a nonnegative superdiagonal, and an odd/even
+permutation turns it into a real bidiagonal matrix whose SVD gives the
+pairs.  Pairs with r <= rank_tol * r_max, and the column an odd block leaves
+unpaired, span the numerical kernel.
 """
 
 import math
@@ -22,16 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .antilinear import (
-    Anticonjugation,
-    _modulus_from_spectrum,
-    is_skew_self_adjoint,
-    make_anticonjugation,
-)
-from .errors import ConvergenceFailure, NotSkewSelfAdjoint, NotSkewSymmetric, OddKernel
+from .antilinear import Anticonjugation, is_skew_self_adjoint, make_anticonjugation
+from .errors import NotSkewSelfAdjoint, NotSkewSymmetric, OddKernel
 from .matcore import DEFAULT_TOL, frob
 
-CLUSTER_TOL = 1e-8
+# entries of the compression at most this times eps * max|C| are roundoff
+COUPLING_EPS = 64.0
 
 K2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # matrix of (x,y) -> (-conj y, conj x)
 
@@ -50,13 +51,37 @@ class YoulaResult:
         """B = direct sum of [[0, r_j], [-r_j, 0]] blocks padded with zeros."""
         return block_skew_matrix(self.r, self.dim)
 
+    def kappa(self):
+        """The anticonjugation e_j -> f_j, f_j -> -e_j; kernel columns are
+        paired in order.  Raises OddKernel when the numerical kernel is odd
+        dimensional, where no anticonjugation exists."""
+        if self.kernel_dim % 2 != 0:
+            raise OddKernel(
+                f"numerical kernel dimension {self.kernel_dim} is odd; "
+                "no anticonjugation factorization exists"
+            )
+        u = self.u
+        paired = 2 * self.r.size
+        pairs = [(u[:, j + 1], u[:, j]) for j in range(0, paired, 2)]
+        pairs += [(u[:, j], u[:, j + 1]) for j in range(paired, self.dim, 2)]
+        return make_anticonjugation(pairs)
+
+    def modulus(self):
+        """|A| = U diag(r_1, r_1, ..., r_k, r_k, 0, ..., 0) U*."""
+        s = np.concatenate([np.repeat(self.r, 2), np.zeros(self.kernel_dim)])
+        return (self.u * s) @ self.u.conj().T
+
+    def polar(self):
+        return PolarResult(kappa=self.kappa(), modulus=self.modulus())
+
 
 def block_skew_matrix(d_values, dim):
     """Direct sum of d_j [[0, 1], [-1, 0]] blocks padded with zeros."""
+    d = np.asarray(d_values, dtype=float)
     out = np.zeros((dim, dim), dtype=complex)
-    for j, d in enumerate(d_values):
-        out[2 * j, 2 * j + 1] = d
-        out[2 * j + 1, 2 * j] = -d
+    j = 2 * np.arange(d.size)
+    out[j, j + 1] = d
+    out[j + 1, j] = -d
     return out
 
 
@@ -66,117 +91,119 @@ class PolarResult:
     modulus: np.ndarray
 
 
-def _skew_pairs(mat, cluster_tol=CLUSTER_TOL, rank_tol=DEFAULT_TOL, spectrum=None):
-    """Pair the spectrum of a skew-symmetric matrix.
-
-    Returns ``(pairs, kernel, s_max)`` where pairs is a list of
-    ``(e, f, r)`` with ``mat conj(e) = r f`` and ``mat conj(f) = -r e``,
-    sorted by descending r, and kernel is a list of orthonormal vectors
-    spanning the numerical kernel.  ``spectrum`` is a precomputed
-    ``matcore.singular_spectrum(mat)``.
-    """
-    n = mat.shape[0]
-    s, v = matcore.singular_spectrum(mat) if spectrum is None else spectrum
-    s_max = float(s[-1]) if n else 0.0
-    if s_max == 0.0:
-        return [], [v[:, j] for j in range(n)], 0.0
-
-    thr = rank_tol * s_max
-    # pair on mat 2^-shift, whose columns neither overflow nor underflow
-    # when squared, and scale r back
-    shift = matcore.pow2_exponent(mat)
-    scale = math.ldexp(1.0, -shift)
-    kernel_idx = [j for j in range(n) if s[j] <= thr]
-    positive_idx = [j for j in range(n) if s[j] > thr]
-    kernel = [v[:, j] for j in kernel_idx]
-
-    pairs = []
-    clusters = matcore.cluster_indices(
-        [s[j] for j in positive_idx], cluster_tol * s_max
-    )
-    for cluster in clusters:
-        idx = [positive_idx[i] for i in cluster]
-        span = remaining = v[:, idx]
-        used = []
-        while remaining.shape[1] > 0:
-            if remaining.shape[1] == 1:
-                raise ConvergenceFailure(
-                    "odd-dimensional singular value cluster; "
-                    "pairing cannot complete"
-                )
-            e = remaining[:, 0]
-            ae = mat @ np.conj(e) * scale  # = (mat 2^-shift) conj(e), exactly
-            r = float(np.linalg.norm(ae))
-            f = span @ (span.conj().T @ (ae / r))
-            for u in used + [e]:
-                f = f - u * np.vdot(u, f)
-            nrm = np.linalg.norm(f)
-            if nrm < 0.5:
-                raise ConvergenceFailure("pairing vector collapsed")
-            f = f / nrm
-            pairs.append((e, f, math.ldexp(r, shift)))
-            used.extend([e, f])
-            rest = remaining[:, 1:]
-            rest = rest - np.outer(e, e.conj() @ rest) - np.outer(f, f.conj() @ rest)
-            rest = matcore.orthonormal_columns(rest, tol=1e-6)
-            if rest.shape[1] != remaining.shape[1] - 2:
-                raise ConvergenceFailure("cluster basis lost rank while pairing")
-            remaining = rest
-
-    pairs.sort(key=lambda t: -t[2])
-    return pairs, kernel, s_max
+def _coupled_blocks(c):
+    """Starts and sizes of the contiguous diagonal blocks of c that no entry
+    above COUPLING_EPS * eps * max|c| crosses."""
+    mag = np.abs(c)
+    big = mag > COUPLING_EPS * np.finfo(float).eps * mag.max(initial=0.0)
+    rows = np.arange(c.shape[0])
+    # the last column each row couples to (the zero diagonal makes it at
+    # least the row itself), and the farthest any row up to it reaches: a
+    # block ends where that is the row itself
+    last = np.where(big, rows, rows[:, None]).max(axis=1, initial=0)
+    ends = np.flatnonzero(np.maximum.accumulate(last) == rows) + 1
+    starts = np.concatenate([[0], ends])[:-1]
+    return starts, ends - starts
 
 
-def youla_decompose(m, tol=DEFAULT_TOL):
+def _reduce_block(c):
+    """(g, sigma) with g unitary and c = g B g^tr for a k x k skew block c,
+    k >= 3, where B pairs column j with column ceil(k/2) + j at sigma_j; for
+    odd k the column ceil(k/2) - 1 is left unpaired."""
+    k = c.shape[0]
+    c = c.copy()
+    q = np.eye(k, dtype=complex)
+    sub = np.zeros(k - 1, dtype=complex)  # subdiagonal of T = Q c Q^tr
+    for i in range(k - 2):
+        x = c[i + 1 :, i]
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            continue
+        # H = I - tau v v* with H x = alpha e_1, applied as H c H^tr; for a
+        # skew c, v* c conj(v) = 0 and the trailing update has rank two
+        alpha = -norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
+        sub[i] = alpha
+        v = x.copy()
+        v[0] -= alpha
+        tau = 2.0 / np.vdot(v, v).real
+        trail = c[i + 1 :, i + 1 :]
+        cv = trail @ np.conj(v)
+        trail += tau * (np.outer(v, cv) - np.outer(cv, v))
+        q[i + 1 :] -= tau * np.outer(v, v.conj() @ q[i + 1 :])
+    sub[k - 2] = c[k - 1, k - 2]
+    # D = diag(d) with d_i d_(i+1) t_i = |t_i| makes D T D real, with the
+    # nonnegative superdiagonal |t_i|, t_i = -sub_i
+    t = np.abs(sub)
+    d = np.ones(k, dtype=complex)
+    for i in range(k - 1):
+        if t[i] > 0.0:
+            d[i + 1] = np.conj(d[i] * -sub[i]) / t[i]
+    # rows 0, 2, 4, ... against columns 1, 3, 5, ... of D T D: a real
+    # lower bidiagonal matrix
+    ce, fl = (k + 1) // 2, k // 2
+    bd = np.zeros((ce, fl))
+    bd[np.arange(fl), np.arange(fl)] = t[0::2]
+    bd[np.arange(1, ce), np.arange(ce - 1)] = -t[1::2]
+    x, sigma, yt = np.linalg.svd(bd)
+    z = q.conj().T * np.conj(d)  # c = z (D T D) z^tr
+    return np.hstack([z[:, 0::2] @ x, z[:, 1::2] @ yt.T]), sigma
+
+
+def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     """Unitary congruence M = U B U^tr with B block skew-diagonal.
 
-    M must be complex skew-symmetric within tol.  r holds each positive
-    singular value with half its (even) multiplicity, descending.
+    M must be complex skew-symmetric within tol.  r holds each singular
+    value above rank_tol * r_max once per pair, descending; the remaining
+    ``kernel_dim`` columns of U span the numerical kernel.
     """
     m = matcore.require_square(m)
     if frob(m + m.T) > tol * (1.0 + frob(m)):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    pairs, kernel, _ = _skew_pairs(m, rank_tol=tol)
-    cols = []
-    for e, f, _r in pairs:
-        # with columns (f, e) the congruence U B U^tr reproduces M
-        cols.extend([f, e])
-    cols.extend(kernel)
-    u = np.column_stack(cols) if cols else np.zeros((m.shape[0], 0))
-    r = np.array([p[2] for p in pairs])
-    return YoulaResult(u=u, r=r, kernel_dim=len(kernel))
+    # exact power-of-two prescale: the Gram matrix of a matrix near 2^+-600
+    # would overflow or underflow, and r scales back exactly
+    shift = matcore.pow2_exponent(m)
+    scaled = m * math.ldexp(1.0, -shift)
+    gram = scaled @ scaled.conj().T
+    w = np.linalg.eigh((gram + gram.conj().T) / 2.0)[1]
+    del gram
+    c = w.conj().T @ scaled @ np.conj(w)
+    del scaled
+    c = (c - c.T) / 2.0
 
+    # U = W diag(g_1, g_2, ...) with c = g_i B_i g_i^tr on each block,
+    # formed in place of W
+    starts, sizes = _coupled_blocks(c)
+    two = starts[sizes == 2]
+    top = c[two, two + 1]
+    sigmas = [np.abs(top)]
+    w[:, two] *= np.divide(top, sigmas[0], out=np.ones_like(top), where=sigmas[0] > 0.0)
+    firsts, seconds, unpaired = [two], [two + 1], [starts[sizes == 1]]
+    for lo, k in zip(starts[sizes > 2], sizes[sizes > 2]):
+        g, sigma = _reduce_block(c[lo : lo + k, lo : lo + k])
+        w[:, lo : lo + k] = w[:, lo : lo + k] @ g
+        ce, fl = (k + 1) // 2, k // 2
+        firsts.append(lo + np.arange(fl))
+        seconds.append(lo + ce + np.arange(fl))
+        unpaired.append(np.arange(lo + fl, lo + ce))
+        sigmas.append(sigma)
+    del c
 
-def polar_kappa(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL, spectrum=None):
-    """The anticonjugation kappa of A = kappa |A|, without the modulus.
-
-    The anticonjugation acts as the canonical 2x2 block on each singular
-    pair; kernel vectors are paired among themselves.  Raises OddKernel
-    when the numerical kernel dimension is odd (no anticonjugation exists
-    then, matching the odd-dimension obstruction).
-    """
-    if not is_skew_self_adjoint(a, tol):
-        raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
-    pairs, kernel, _ = _skew_pairs(a.mat, rank_tol=rank_tol, spectrum=spectrum)
-    if len(kernel) % 2 != 0:
-        raise OddKernel(
-            f"numerical kernel dimension {len(kernel)} is odd; "
-            "no anticonjugation factorization exists"
-        )
-    kappa_pairs = [(e, f) for e, f, _r in pairs]
-    for j in range(0, len(kernel), 2):
-        kappa_pairs.append((kernel[j], kernel[j + 1]))
-    return make_anticonjugation(kappa_pairs)
+    first, second, sigma = (np.concatenate(x) for x in (firsts, seconds, sigmas))
+    keep = sigma > rank_tol * sigma.max(initial=0.0)
+    order = np.argsort(-sigma[keep], kind="stable")
+    kernel = np.sort(np.concatenate(unpaired + [first[~keep], second[~keep]]))
+    pairs = np.column_stack([first[keep][order], second[keep][order]]).ravel()
+    return YoulaResult(
+        u=w[:, np.concatenate([pairs, kernel])],
+        r=np.ldexp(sigma[keep][order], shift),
+        kernel_dim=int(kernel.size),
+    )
 
 
 def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
-    """Factor A = kappa |A| with kappa (see polar_kappa) commuting with |A|.
-
-    kappa and |A| come from one singular spectrum: A is skew, so mat mat*
-    is A# A and its eigenvectors with the singular values give |A|.
-    """
-    spectrum = matcore.singular_spectrum(a.mat)
-    return PolarResult(
-        kappa=polar_kappa(a, tol, rank_tol, spectrum=spectrum),
-        modulus=_modulus_from_spectrum(spectrum),
-    )
+    """Factor A = kappa |A| = |A| kappa, both read off one Youla form (see
+    ``YoulaResult.kappa`` and ``YoulaResult.modulus``).  Raises OddKernel
+    when the numerical kernel dimension is odd."""
+    if not is_skew_self_adjoint(a, tol):
+        raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
+    return youla_decompose(a.mat, tol, rank_tol).polar()

@@ -91,12 +91,14 @@ def polar(report, m, kappa, modulus, tol):
     report.add("kappa_skew", frob(kappa + kappa.T), unit)
 
 
-def spectral_measure(report, m, kappa, tol):
+def spectral_measure(report, m, kappa, tol, res=None):
     """G(omega)^2 = -E(omega), G(omega)# = -G(omega), G([a, b]) = kappa and
-    additivity, over the uniform partition of [0, ||A||] into G_CELLS cells."""
+    additivity, over the uniform partition of [0, ||A||] into G_CELLS cells;
+    ``res`` is a precomputed ``wvn.spectral_resolution`` of A."""
     a = AntilinearOperator(m)
     kappa = AntilinearOperator(kappa)
-    res = wvn_mod.spectral_resolution(a, tol)
+    if res is None:
+        res = wvn_mod.spectral_resolution(a, tol)
     cell = res.cells(G_CELLS)
     total = np.zeros_like(a.mat)
     for i in range(G_CELLS):
@@ -116,9 +118,8 @@ def wvn(report, m, k, d, basis, d_values, epsilon, p):
     scale = frob(m)
     report.add("wvn_reconstruction", frob(m - k - d), 1e-10 * scale)
     report.add("wvn_norm_budget", schatten_norm(k, p), epsilon, strict=True)
-    block = np.zeros_like(d)
-    for (e, f), dv in zip(basis, d_values):
-        block += dv * (np.outer(f, e) - np.outer(e, f))
+    e, f = (np.column_stack(x) for x in zip(*basis))
+    block = (f * d_values) @ e.T - (e * d_values) @ f.T
     report.add("wvn_block_residual", frob(d - block), 1e-9 * scale)
     shift = np.abs(singular_values(m) - singular_values(d))
     report.add("wvn_weyl_stability", float(np.max(shift)), schatten_norm(k, math.inf) + 1e-9)

@@ -43,17 +43,19 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
         checks.decomposition(report, "decomp", m, k, d, u, tol, epsilon, p)
         return report, report.exit_code
 
-    youla = canonical.youla_decompose(m, tol)
+    # one factorization for the youla, polar and spectral-measure lines
+    youla = canonical.youla_decompose(m, tol, rank_tol)
     checks.youla(report, m, youla.u, youla.block_matrix(), tol)
 
     a = AntilinearOperator(m)
     try:
-        polar = canonical.polar_factorize(a, tol=tol, rank_tol=rank_tol)
+        polar = youla.polar()
     except OddKernel as exc:
         report.note(f"OddKernel: {exc}")
         return report, 2
     checks.polar(report, m, polar.kappa.mat, polar.modulus, tol)
-    checks.spectral_measure(report, m, polar.kappa.mat, tol)
+    res = wvn_mod.spectral_resolution(a, tol, youla=youla)
+    checks.spectral_measure(report, m, polar.kappa.mat, tol, res=res)
 
     if epsilon is not None:
         result = wvn_mod.wvn_decompose(a, epsilon, p, tol, rank_tol)
@@ -124,7 +126,7 @@ def _finish(prefix, check, *args):
 
 def _cmd_youla(args):
     m = cmatio.read_cmat(args.matrix)
-    result = canonical.youla_decompose(m, args.tol)
+    result = canonical.youla_decompose(m, args.tol, args.rank_tol)
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
     cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.block_matrix())
     _write_values(args.out_prefix, result.r)

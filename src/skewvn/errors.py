@@ -25,10 +25,6 @@ class NotSkewSelfAdjoint(SkewvnError):
     pass
 
 
-class ConvergenceFailure(SkewvnError):
-    pass
-
-
 class OddKernel(SkewvnError):
     """The numerical kernel is odd dimensional; no anticonjugation exists."""
 

@@ -7,13 +7,14 @@ and cancel the off-diagonal coupling with a small skew-self-adjoint
 perturbation.  Iterating, each step within half of the budget left, yields
 A = K + D with ||K||_p < epsilon and D block skew-diagonal.
 
-Each outer step factors its operator once, for kappa and the resolution of
-|A|, and doubles the cell count until its perturbation fits the budget.
-The attempts are screened in the eigenbasis of |A|, where the step is
-block-diagonal by cell, at O(n^2) cost each; only the attempt that the
-screen cannot reject is formed densely and certified by its Schatten norm.
-Youla puts each captured block of D in block form; the numerical kernel
-left at the end joins the basis as pairs with d = 0.
+Each outer step factors its operator once, with ``youla_decompose``: the
+columns of U are the eigenvectors of |A|, r its eigenvalues, and the pairs
+give kappa.  The step doubles the cell count until its perturbation fits
+the budget.  The attempts are screened in the eigenbasis of |A|, where the
+step is block-diagonal by cell, at O(n^2) cost each; only the attempt that
+the screen cannot reject is formed densely and certified by its Schatten
+norm.  Youla puts each captured block of D in block form; the numerical
+kernel left at the end joins the basis as pairs with d = 0.
 """
 
 import math
@@ -29,20 +30,20 @@ from .antilinear import (
     is_tau_skew_symmetric,
     tau_fixed_basis,
 )
-from .canonical import CLUSTER_TOL, block_skew_matrix, polar_kappa, youla_decompose
+from .canonical import block_skew_matrix, youla_decompose
 from .errors import (
     BudgetFailure,
     InvalidP,
     KernelMismatch,
     NotSkewSelfAdjoint,
     NotSkewSymmetric,
-    OddKernel,
     SkewvnError,
     ZeroVector,
 )
 from .matcore import DEFAULT_TOL, frob
 from .schatten import schatten_norm
 
+CLUSTER_TOL = 1e-8
 SEED_TOL = 1e-10
 CELL_DROP_TOL = 1e-12
 N_MAX = 2**20
@@ -112,22 +113,29 @@ class WvnResult:
     achieved_norm: float
 
 
-def spectral_resolution(a, tol=DEFAULT_TOL, spectrum=None):
+def spectral_resolution(a, tol=DEFAULT_TOL, youla=None):
     """Eigenvalues and eigenvectors of |A|, clustered at relative gap 1e-8.
 
-    ``spectrum`` is a precomputed ``matcore.singular_spectrum(a.mat)``.
+    |A| = U diag(r_1, r_1, ..., 0) U* for the Youla form M = U B U^tr, so
+    the columns of U are its eigenvectors.  ``youla`` is a precomputed
+    ``youla_decompose(a.mat)``.
     """
     if not is_skew_self_adjoint(a, tol):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
-    s, v = matcore.singular_spectrum(a.mat) if spectrum is None else spectrum
-    s_max = float(s[-1]) if s.size else 0.0
-    clusters = matcore.cluster_indices(list(s), CLUSTER_TOL * max(s_max, 1e-300))
+    if youla is None:
+        youla = youla_decompose(a.mat, tol)
+    # the eigenvalue of each column of U, descending; a gap above the
+    # cluster tolerance starts a new cluster, and clusters count upwards
+    lam = np.concatenate([np.repeat(youla.r, 2), np.zeros(youla.kernel_dim)])
+    s_max = float(lam[0]) if lam.size else 0.0
+    down = np.cumsum(-np.diff(lam, prepend=lam[:1]) > CLUSTER_TOL * max(s_max, 1e-300))
+    cluster_of = down.max(initial=0) - down
     return SpectralResolution(
         a=0.0,
         b=s_max,
-        eigenvalues=np.array([float(np.mean(s[c])) for c in clusters]),
-        vectors=v,
-        cluster_of=np.repeat(np.arange(len(clusters)), [len(c) for c in clusters]),
+        eigenvalues=np.bincount(cluster_of, weights=lam) / np.bincount(cluster_of),
+        vectors=youla.u,
+        cluster_of=cluster_of,
     )
 
 
@@ -261,6 +269,53 @@ def _projection_split(p):
     return inside, outside
 
 
+def _outer_step(mat, k_total, w, budget, p, tol, rank_tol, kernel_floor, step_index):
+    """One outer step on the unexplored complement w of A + k_total, A = mat.
+
+    Factors the compression once.  Returns None when the compression is
+    numerical kernel (its norm at most ``kernel_floor``) or no seed is
+    left; otherwise (k_total plus the accepted step, the step's ||.||_p,
+    the basis of the captured block, the new complement, the norm of the
+    compression).  Its n x n temporaries are freed when it returns.
+    """
+    a_sub = AntilinearOperator(w.conj().T @ (mat + k_total) @ np.conj(w))
+    youla = youla_decompose(a_sub.mat, tol, rank_tol)
+    norm_sub = float(youla.r[0]) if youla.r.size else 0.0
+    if norm_sub <= kernel_floor:
+        # the rest is numerical kernel of A; its own roundoff spectrum need
+        # not pair, so it is not decomposed further
+        return None
+    # seed: first standard basis vector with mass left in the complement
+    seeds = np.flatnonzero(np.linalg.norm(w, axis=1) > SEED_TOL)
+    if seeds.size == 0:
+        return None
+    f_sub = w[seeds[0]].conj()
+    kappa = youla.kappa()
+    res = spectral_resolution(a_sub, tol, youla=youla)
+    cells = 4
+    while True:
+        cut = _cut_cells(res, f_sub, cells)
+        estimate = _step_norm_estimate(a_sub, kappa, res, cut, p)
+        # every accepted step and every BudgetFailure is decided by the
+        # dense norm; the estimate only skips attempts that finer cells can
+        # still improve
+        last = cut.saturated or cells >= N_MAX
+        if last or estimate * (1.0 - SCREEN_RTOL) - SCREEN_ATOL * res.b < budget:
+            step = rank_projection_step(a_sub, kappa, f_sub, cells, tol, res=res)
+            norm = schatten_norm(step.k, p)
+            if norm < budget:
+                break
+            if step.saturated or cells >= N_MAX:
+                raise BudgetFailure(
+                    f"||K||_p = {norm:.3e} >= budget {budget:.3e} at outer step "
+                    f"{step_index}: {cells} cells for {res.eigenvalues.size} clusters"
+                    + ("; finer cells give the same step" if step.saturated else "")
+                )
+        cells *= 2
+    inside, outside = _projection_split(step.p)
+    return k_total + w @ step.k.mat @ w.T, norm, w @ inside, w @ outside, norm_sub
+
+
 def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     """Decompose A = K + D with ||K||_p < epsilon and D block skew-diagonal.
 
@@ -273,7 +328,8 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     skew-diagonalized to produce the paired basis and the d-sequence; the
     kernel left over is paired with d = 0.
     D is A plus the sum of the step perturbations and K is minus that sum,
-    so A - K - D vanishes exactly.  Raises BudgetFailure as soon as finer
+    so A - K - D vanishes exactly.  Raises OddKernel when the numerical
+    kernel of A is odd dimensional, and BudgetFailure as soon as finer
     cells cannot change a step that misses its budget.
     """
     _check_p(p)
@@ -288,61 +344,26 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     blocks = []
     step_index = 0
     spent = 0.0  # sum of the accepted step norms
+    kernel_floor = -math.inf  # step 1 decomposes all of A
     while w.shape[1] > 0:
         step_index += 1
-        sub = w.conj().T @ (mat + k_total) @ np.conj(w)
-        a_sub = AntilinearOperator(sub)
-        spectrum = matcore.singular_spectrum(sub)
-        s = spectrum[0]
-        if step_index == 1:  # sub is A itself
-            norm_a = s[-1]
-            kernel_dim = int(np.count_nonzero(s <= rank_tol * norm_a))
-            if kernel_dim % 2 != 0:
-                raise OddKernel(f"numerical kernel dimension {kernel_dim} is odd")
-        elif s[-1] <= rank_tol * norm_a:
-            # the rest is numerical kernel of A; its own roundoff spectrum
-            # need not pair, so it is not decomposed further
+        step = _outer_step(
+            mat, k_total, w, (epsilon - spent) / 2.0, p, tol, rank_tol, kernel_floor, step_index
+        )
+        if step is None:
             break
-        # seed: first standard basis vector with mass left in the complement
-        seeds = np.flatnonzero(np.linalg.norm(w, axis=1) > SEED_TOL)
-        if seeds.size == 0:
-            break
-        f_sub = w[seeds[0]].conj()
-        kappa = polar_kappa(a_sub, tol=tol, rank_tol=rank_tol, spectrum=spectrum)
-        res = spectral_resolution(a_sub, tol, spectrum=spectrum)
-        budget = (epsilon - spent) / 2.0
-        cells = 4
-        while True:
-            cut = _cut_cells(res, f_sub, cells)
-            estimate = _step_norm_estimate(a_sub, kappa, res, cut, p)
-            # every accepted step and every BudgetFailure is decided by the
-            # dense norm; the estimate only skips attempts that finer cells
-            # can still improve
-            last = cut.saturated or cells >= N_MAX
-            if last or estimate * (1.0 - SCREEN_RTOL) - SCREEN_ATOL * res.b < budget:
-                step = rank_projection_step(a_sub, kappa, f_sub, cells, tol, res=res)
-                norm = schatten_norm(step.k, p)
-                if norm < budget:
-                    break
-                if step.saturated or cells >= N_MAX:
-                    raise BudgetFailure(
-                        f"||K||_p = {norm:.3e} >= budget {budget:.3e} at outer step "
-                        f"{step_index}: {cells} cells for {res.eigenvalues.size} clusters"
-                        + ("; finer cells give the same step" if step.saturated else "")
-                    )
-            cells *= 2
+        k_total, norm, block, w, norm_sub = step
+        if step_index == 1:  # the compression was A itself
+            kernel_floor = rank_tol * norm_sub
         spent += norm
-        k_total = k_total + w @ step.k.mat @ w.T
-        inside, outside = _projection_split(step.p)
-        blocks.append(w @ inside)
-        w = w @ outside
+        blocks.append(block)
 
     d_mat = mat + k_total
     basis = []
     d_values = []
     for vb in blocks:
         sub_d = vb.conj().T @ d_mat @ np.conj(vb)
-        yres = youla_decompose(sub_d, tol=1e-8)
+        yres = youla_decompose(sub_d, 1e-8, 1e-8)
         # Youla columns hold (f, e) for each r_j, then the kernel pairs with d = 0
         cols = vb @ yres.u
         paired = 2 * yres.r.size

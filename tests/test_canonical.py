@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skewvn.antilinear import AntilinearOperator
-from skewvn import matcore
+from skewvn import canonical
 from skewvn.canonical import K2, polar_factorize, youla_decompose
 from skewvn.errors import NotSkewSymmetric, OddKernel
 from skewvn.matcore import frob
@@ -206,15 +206,15 @@ def test_youla_rejects_non_skew_at_huge_scale():
 
 
 def test_polar_factorizes_once(monkeypatch):
-    # kappa and |A| come from one singular spectrum
+    # kappa and |A| come from one Youla form
     calls = []
-    real = matcore.singular_spectrum
+    real = canonical.youla_decompose
 
-    def counting(mat):
+    def counting(mat, *args, **kwargs):
         calls.append(mat.shape)
-        return real(mat)
+        return real(mat, *args, **kwargs)
 
-    monkeypatch.setattr(matcore, "singular_spectrum", counting)
+    monkeypatch.setattr(canonical, "youla_decompose", counting)
     a = AntilinearOperator(random_skew(np.random.default_rng(36), 10))
     result = polar_factorize(a)
     assert calls == [(10, 10)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewvn import cli, cmatio, generate, wvn
+from skewvn import canonical, cli, cmatio, generate, wvn
 from skewvn.cli import VerificationReport, main, run_verify
 from skewvn.errors import InvalidRank, ParseError
 
@@ -107,6 +107,49 @@ def test_run_verify_non_skew():
     report, code = run_verify(np.eye(3), 1e-10, 1e-10)
     assert code == 1
     assert not report.all_pass
+
+
+def test_run_verify_factorizes_once(monkeypatch):
+    # the youla, polar and spectral-measure lines share one Youla form
+    calls = []
+    real = canonical.youla_decompose
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    eigensolves = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(mat):
+        eigensolves.append(mat.shape)
+        return real_eigh(mat)
+
+    monkeypatch.setattr(canonical, "youla_decompose", counting)
+    monkeypatch.setattr(wvn, "youla_decompose", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report, code = run_verify(generate.gen("skew-symmetric", 8, None, 5), 1e-10, 1e-10)
+    assert code == 0
+    assert calls == [(8, 8)]
+    assert eigensolves == [(8, 8)]
+    assert "g_additive" in {name for name, *_ in report.checks}
+
+
+def test_cli_youla_rank_cut_follows_rank_tol(tmp_path):
+    # r = 2, 1, 1e-9: the default rank_tol 1e-10 keeps the last pair, 1e-6
+    # makes it kernel, within the youla_roundtrip bound
+    u = generate.random_unitary(np.random.default_rng(9), 6)
+    m = u @ canonical.block_skew_matrix([2.0, 1.0, 1e-9], 6) @ u.T
+    mpath = str(tmp_path / "m.cmat")
+    cmatio.write_cmat(mpath, (m - m.T) / 2.0)
+    values = {}
+    for rank_tol in ("1e-10", "1e-6"):
+        prefix = tmp_path / f"y{rank_tol}"
+        assert main(["youla", mpath, "--rank-tol", rank_tol, "--out-prefix", str(prefix)]) == 0
+        text = (tmp_path / f"y{rank_tol}.values.txt").read_text()
+        values[rank_tol] = [float(x) for x in text.split()]
+    assert len(values["1e-10"]) == 3
+    assert values["1e-6"] == values["1e-10"][:2]
 
 
 def test_cli_pipeline(tmp_path, capsys):

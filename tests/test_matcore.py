@@ -47,19 +47,6 @@ def test_orthonormalize_gram_identity():
     assert matcore.frob(g - np.eye(len(out))) <= 1e-12
 
 
-def test_singular_spectrum_values_scale_exactly():
-    # the SVD runs on the power-of-two prescaled matrix, so the values of
-    # m 2^k are those of m times 2^k bit for bit, and the vectors are equal
-    rng = np.random.default_rng(17)
-    m = random_complex(rng, 12, 12)
-    s, v = matcore.singular_spectrum(m)
-    assert np.allclose(s, np.linalg.svd(m, compute_uv=False)[::-1])
-    for k in (600, -600):
-        s_k, v_k = matcore.singular_spectrum(m * 2.0**k)
-        assert np.array_equal(s_k, s * 2.0**k)
-        assert np.array_equal(v_k, v)
-
-
 def test_frob_scales_exactly():
     rng = np.random.default_rng(19)
     m = random_complex(rng, 5, 5)

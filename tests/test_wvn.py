@@ -12,7 +12,7 @@ from skewvn.antilinear import (
 )
 from skewvn.canonical import K2, polar_factorize
 from skewvn.errors import BudgetFailure, InvalidP, OddKernel, ZeroVector
-from skewvn.matcore import frob, opnorm
+from skewvn.matcore import frob
 from skewvn.schatten import schatten_norm
 from skewvn.wvn import (
     CELL_DROP_TOL,
@@ -212,7 +212,7 @@ def test_rank_projection_step_bounds():
         p = step.p
         q = np.eye(8) - p
         off = q @ a.mat @ np.conj(p)
-        assert opnorm(off) <= width / n + 1e-9
+        assert np.linalg.norm(off, 2) <= width / n + 1e-9
         for p_exp in (1.5, 2.0, 3.0):
             q_exp = p_exp / (p_exp - 1.0)
             bound = 2.0 * (2.0 / n) ** (1.0 / q_exp) * width
@@ -255,7 +255,7 @@ def test_step_family_orthogonality():
                 assert abs(np.vdot(fk, fj)) <= 1e-10 * norm2
                 assert abs(np.vdot(gs[k], gs[j])) <= 1e-10 * norm2
     # range orthogonality through A
-    a_scale = 1e-9 * (1 + opnorm(a.mat)) ** 2 * (1 + norm2)
+    a_scale = 1e-9 * (1 + np.linalg.norm(a.mat, 2)) ** 2 * (1 + norm2)
     afs = [a(v) for v in fs]
     ags = [a(v) for v in gs]
     for j in range(len(fs)):
@@ -528,10 +528,11 @@ def test_spectral_resolution_memory_is_quadratic():
 
 
 def test_wvn_near_degenerate_reconstruction_is_exact():
-    # singular values 1 and 1 + 1e-6 leave K of norm ~1e-6, large enough
-    # that returning the sum of step perturbations unnegated breaks A = K + D
+    # singular values 1.1 and 1.1 + 1e-6 leave K of norm ~1e-6, large enough
+    # that returning the sum of step perturbations unnegated breaks A = K + D;
+    # no value sits on an edge of the 4- or 8-cell partition of [0, 2]
     u = generate.random_unitary(np.random.default_rng(3), 8)
-    m = u @ block_skew_matrix([2.0, 1.5, 1.0, 1.0 + 1e-6], 8) @ u.T
+    m = u @ block_skew_matrix([2.0, 1.5, 1.1, 1.1 + 1e-6], 8) @ u.T
     result = wvn_decompose(AntilinearOperator(m), 1e-3)
     assert frob(result.k.mat) > 1e-7
     assert frob(m - result.k.mat - result.d.mat) <= 1e-10 * (1 + frob(m))
@@ -672,6 +673,34 @@ def test_one_dense_step_per_outer_step_on_generic_input(monkeypatch):
     assert result.achieved_norm < 1e-2
     assert len(dense) == len(outer) >= 1
     assert len(screened) > len(dense)
+
+
+def test_wvn_factors_once_per_outer_step(monkeypatch):
+    # each outer step reads kappa and the resolution of |A| off one Youla
+    # form; the final pass factors each captured block once more
+    youla, given = [], []
+    real_youla, real_res = wvn.youla_decompose, wvn.spectral_resolution
+
+    def counting_youla(mat, *args, **kwargs):
+        youla.append(mat.shape[0])
+        return real_youla(mat, *args, **kwargs)
+
+    def counting_res(a, *args, youla=None, **kwargs):
+        given.append((a.dim, youla is not None))
+        return real_res(a, *args, youla=youla, **kwargs)
+
+    monkeypatch.setattr(wvn, "youla_decompose", counting_youla)
+    monkeypatch.setattr(wvn, "spectral_resolution", counting_res)
+    u = generate.random_unitary(np.random.default_rng(4), 32)
+    m = u @ block_skew_matrix(np.repeat([2.0, 1.5, 1.0, 0.5], 4), 32) @ u.T
+    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-2)
+    assert result.achieved_norm < 1e-2
+    steps = len(given)
+    assert steps > 1
+    assert given == [(dim, True) for dim in youla[:steps]]
+    # one more call per captured block, and the blocks cover the space
+    assert len(youla) == 2 * steps
+    assert sum(youla[steps:]) == 32
 
 
 def test_wvn_kernel_heavy_input():
