@@ -178,6 +178,8 @@ def linear_from_antilinear(a, tau):
 def tau_transpose(t, tau):
     """Matrix of tau o T* o tau; equals the plain transpose for standard tau."""
     t = matcore.require_square(t)
+    if tau.is_standard():
+        return t.T
     c = tau.mat
     return c @ t.T @ np.conj(c)
 

@@ -7,25 +7,43 @@ endings.  Every entry must be finite.
 """
 
 import cmath
+import re
 
 import numpy as np
 
 from .errors import ParseError
 from .matcore import as_matrix
 
+_TWO_COMMAS = re.compile(r",\S*,")  # in one token
+
 
 def format_cmat(m):
     m = as_matrix(m)
     rows, cols = m.shape
-    lines = [f"CMAT v1 {rows} {cols}"]
-    for i in range(rows):
-        lines.append(
-            " ".join(
-                f"{float(m[i, j].real)!r},{float(m[i, j].imag)!r}"
-                for j in range(cols)
-            )
-        )
+    lines = [f"CMAT v1 {rows} {cols}"] + [
+        " ".join(f"{x!r},{y!r}" for x, y in zip(re_row, im_row))
+        for re_row, im_row in zip(m.real.tolist(), m.imag.tolist())
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _parse_rows(body, rows, cols):
+    """The entries of the data lines in one conversion, or None for a
+    malformed line, whose line and column the entry-by-entry parse names.
+    A line of cols tokens and cols commas, none two in one token, holds cols
+    tokens a,b: 2 cols numbers unless some a or b is empty."""
+    malformed = any(len(line.split()) != cols or line.count(",") != cols for line in body)
+    if malformed or _TWO_COMMAS.search("\n".join(body)):
+        return None
+    try:
+        vals = np.array([line.replace(",", " ").split() for line in body], dtype=float)
+    except ValueError:
+        return None
+    if vals.shape != (rows, 2 * cols) or not np.all(np.isfinite(vals)):
+        return None
+    out = np.empty((rows, cols), dtype=complex)
+    out.real, out.imag = vals[:, 0::2], vals[:, 1::2]
+    return out
 
 
 def parse_cmat(text):
@@ -43,31 +61,25 @@ def parse_cmat(text):
         raise ParseError("dimensions must be positive", line=1)
     if len(lines) < rows + 1:
         raise ParseError(f"expected {rows} data lines", line=len(lines))
+    out = _parse_rows(lines[1 : rows + 1], rows, cols)
+    if out is not None:
+        return out
     out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        lineno = i + 2
-        tokens = lines[i + 1].split()
+    for i, line in enumerate(lines[1 : rows + 1], start=2):
+        tokens = line.split()
         if len(tokens) != cols:
-            raise ParseError(
-                f"expected {cols} entries, found {len(tokens)}", line=lineno
-            )
-        for j, tok in enumerate(tokens):
+            raise ParseError(f"expected {cols} entries, found {len(tokens)}", line=i)
+        for j, tok in enumerate(tokens, start=1):
             parts = tok.split(",")
             if len(parts) != 2:
-                raise ParseError(
-                    f"entry {tok!r} is not of the form re,im",
-                    line=lineno,
-                    column=j + 1,
-                )
+                raise ParseError(f"entry {tok!r} is not of the form re,im", line=i, column=j)
             try:
                 value = complex(float(parts[0]), float(parts[1]))
             except ValueError:
-                raise ParseError(
-                    f"could not parse {tok!r}", line=lineno, column=j + 1
-                )
+                raise ParseError(f"could not parse {tok!r}", line=i, column=j)
             if not cmath.isfinite(value):
-                raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=j + 1)
-            out[i, j] = value
+                raise ParseError(f"non-finite entry {tok!r}", line=i, column=j)
+            out[i - 2, j - 1] = value
     return out
 
 

@@ -1,20 +1,17 @@
 """Weyl-von Neumann decomposition of antilinear skew-self-adjoint operators.
 
-The construction follows the finite-rank projection argument: split the
-spectrum of |A| into n cells, push a seed vector through the spectral
-projections to obtain an (f_k, kappa f_k) family, project onto its span,
-and cancel the off-diagonal coupling with a small skew-self-adjoint
-perturbation.  Iterating, each step within half of the budget left, yields
-A = K + D with ||K||_p < epsilon and D block skew-diagonal.
-
-Each outer step factors its operator once, with ``youla_decompose``: the
-columns of U are the eigenvectors of |A|, r its eigenvalues, and the pairs
-give kappa.  The step doubles the cell count until its perturbation fits
-the budget.  The attempts are screened in the eigenbasis of |A|, where the
-step is block-diagonal by cell, at O(n^2) cost each; only the attempt that
-the screen cannot reject is formed densely and certified by its Schatten
-norm.  Youla puts each captured block of D in block form; the numerical
-kernel left at the end joins the basis as pairs with d = 0.
+The finite-rank projection argument: split the spectrum of |A| into n
+cells, push a seed through the spectral projections to get the family
+(f_k, kappa f_k), project onto its span with P and cancel the coupling with
+K = -(I-P)AP - PA(I-P).  Iterating, each step within half of the budget
+left, gives A = K + D with ||K||_p < epsilon and D block skew-diagonal.
+``rank_projection_step`` forms one step densely.  ``wvn_decompose`` takes
+every step in a Youla basis, where A is the pair form B and kappa swaps each
+pair: the step is block-diagonal by cell, its ||K||_p and the value d_k of
+each captured pair are per-cell sums, and the rest of a kept cell is the
+complement of (f_k, kappa f_k) there, which the next step factors on its
+own.  n x n arrays are formed once, at the end; the numerical kernel left
+then joins the basis as pairs with d = 0.
 """
 
 import math
@@ -30,29 +27,27 @@ from .antilinear import (
     is_tau_skew_symmetric,
     tau_fixed_basis,
 )
-from .canonical import block_skew_matrix, youla_decompose
+from .canonical import COUPLING_EPS, block_skew_matrix, youla_decompose
 from .errors import (
     BudgetFailure,
     InvalidP,
     KernelMismatch,
     NotSkewSelfAdjoint,
     NotSkewSymmetric,
+    OddKernel,
     SkewvnError,
     ZeroVector,
 )
 from .matcore import DEFAULT_TOL, frob
-from .schatten import schatten_norm
 
 CLUSTER_TOL = 1e-8
 SEED_TOL = 1e-10
 CELL_DROP_TOL = 1e-12
 N_MAX = 2**20
-# Bounds on the rounding error of _step_norm_estimate, relative and times
-# ||A|| (at most 3e-9 and 1.3e-14 on generic, clustered and near-degenerate
-# inputs up to n = 128); an attempt is skipped only when its estimate clears
-# the budget by more, so rounding cannot skip a step the dense norm accepts.
-SCREEN_RTOL = 1e-6
-SCREEN_ATOL = 1e-12
+# An epsilon at most ROUNDOFF_FLOOR * eps * ||A||_p is refused: the dense
+# step leaves ||K||_2 = 11.5 ... 35 eps ||A||_F of roundoff once its cells
+# saturate (generic inputs, n = 16 ... 512), so no such budget can be met.
+ROUNDOFF_FLOOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -104,6 +99,9 @@ class StepResult:
 
 @dataclass(frozen=True)
 class WvnResult:
+    """``achieved_norm`` is the sum of the outer steps' ||K_step||_p, which
+    bounds ||K||_p and equals it when one outer step suffices."""
+
     k: AntilinearOperator
     d: AntilinearOperator
     basis: list
@@ -111,6 +109,18 @@ class WvnResult:
     p: float
     epsilon: float
     achieved_norm: float
+
+
+def _resolve(vectors, lam):
+    """Resolution with the descending eigenvalues lam on the columns of
+    vectors; a gap above the cluster tolerance starts a new cluster, and
+    clusters count upwards.  b is the top cluster's mean, which can round
+    above lam[0]: every cluster then lies in a cell."""
+    s_max = float(lam[0]) if lam.size else 0.0
+    down = np.cumsum(-np.diff(lam, prepend=lam[:1]) > CLUSTER_TOL * max(s_max, 1e-300))
+    cluster_of = down.max(initial=0) - down
+    mean = np.bincount(cluster_of, weights=lam) / np.bincount(cluster_of)
+    return SpectralResolution(0.0, float(mean.max(initial=0.0)), mean, vectors, cluster_of)
 
 
 def spectral_resolution(a, tol=DEFAULT_TOL, youla=None):
@@ -124,19 +134,7 @@ def spectral_resolution(a, tol=DEFAULT_TOL, youla=None):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
     if youla is None:
         youla = youla_decompose(a.mat, tol)
-    # the eigenvalue of each column of U, descending; a gap above the
-    # cluster tolerance starts a new cluster, and clusters count upwards
-    lam = np.concatenate([np.repeat(youla.r, 2), np.zeros(youla.kernel_dim)])
-    s_max = float(lam[0]) if lam.size else 0.0
-    down = np.cumsum(-np.diff(lam, prepend=lam[:1]) > CLUSTER_TOL * max(s_max, 1e-300))
-    cluster_of = down.max(initial=0) - down
-    return SpectralResolution(
-        a=0.0,
-        b=s_max,
-        eigenvalues=np.bincount(cluster_of, weights=lam) / np.bincount(cluster_of),
-        vectors=youla.u,
-        cluster_of=cluster_of,
-    )
+    return _resolve(youla.u, np.concatenate([np.repeat(youla.r, 2), np.zeros(youla.kernel_dim)]))
 
 
 def spectral_measure_G(a, kappa, clusters, res=None):
@@ -164,40 +162,36 @@ class _CellCut:
     saturated: bool
 
 
-def _cut_cells(res, f, n):
-    """Place the clusters in cells (``res.cells``) and split the seed along them."""
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    fnorm = np.linalg.norm(f)
+def _cut_cells(res, coef, n):
+    """Place the clusters in cells (``res.cells``) and split the seed, given
+    by its coefficients on the columns of ``res.vectors``, along them."""
+    fnorm = np.linalg.norm(coef)
     if fnorm == 0.0:
         raise ZeroVector("seed vector is zero")
     cell = res.cells(n)
     col_cell = cell[res.cluster_of]
-    coef = res.vectors.conj().T @ f
     mass = np.bincount(col_cell, weights=np.abs(coef) ** 2, minlength=n + 1)
     keep = np.sqrt(mass) > CELL_DROP_TOL * fnorm
     keep[n] = False
-    kept = np.flatnonzero(keep)
-    scale = np.sqrt(np.where(keep[col_cell], mass[col_cell], 1.0))
-    return _CellCut(
-        n=n,
-        cell=col_cell,
-        phi=np.where(keep[col_cell], coef / scale, 0.0),
-        kept=kept,
-        saturated=bool(np.all(np.bincount(cell, minlength=n + 1)[kept] == 1)),
-    )
+    kept, inside = np.flatnonzero(keep), keep[col_cell]
+    phi = np.where(inside, coef / np.sqrt(np.where(inside, mass[col_cell], 1.0)), 0.0)
+    saturated = bool(np.all(np.bincount(cell, minlength=n + 1)[kept] == 1))
+    return _CellCut(n, col_cell, phi, kept, saturated)
 
 
 def rank_projection_step(a, kappa, f, n, tol=DEFAULT_TOL, res=None):
-    """One finite-rank reduction step.
+    """One finite-rank reduction step, formed densely.
 
     Builds f_k = E(omega_k) f and g_k = kappa f_k over an n-cell partition
     of [0, ||A||], drops the cells where f_k vanishes, projects onto the
     span, and returns the projection P together with the skew-self-adjoint
     perturbation K = -(I-P)AP - PA(I-P), so that A + K is reduced by R(P).
+    ``wvn_decompose`` takes the same step in a Youla basis.
     """
     if res is None:
         res = spectral_resolution(a, tol)
-    cut = _cut_cells(res, f, n)
+    f = np.asarray(f, dtype=complex).reshape(-1)
+    cut = _cut_cells(res, res.vectors.conj().T @ f, n)
     # column j of F is f_k for the j-th kept cell k
     fs = res.vectors @ ((cut.cell[:, None] == cut.kept) * cut.phi[:, None])
     q = np.hstack([fs, kappa.mat @ np.conj(fs)])
@@ -211,126 +205,92 @@ def rank_projection_step(a, kappa, f, n, tol=DEFAULT_TOL, res=None):
     )
 
 
-def _cell_sums(cell, x, n):
-    """Per-cell sums of the complex entries x, cell n included."""
-    return np.bincount(cell, weights=x.real, minlength=n + 1) + 1j * np.bincount(
-        cell, weights=x.imag, minlength=n + 1
-    )
-
-
-def _step_norm_estimate(a, kappa, res, cut, p):
-    """||K||_p of the step for ``cut``, without forming P or K.
-
-    In the eigenbasis V of |A| both A and kappa are block-diagonal by
-    cluster, so P and K are block-diagonal by cell and
-    ||K||_p^p = 2 sum_k ||Y_k||_p^p with Y_k = (I - P_k) A [f_k, kappa f_k].
-    The stacked phi = sum_k f_k gives every Y_k from a few mat-vecs; the
-    2x2 Gram matrices of the Y_k come from per-cell sums.  Vectors are
-    scaled by a power of two near 1/||A|| so that the Gram entries neither
-    overflow nor underflow, and the result scales exactly with A.
-    """
-    n = cut.n
-    shift = matcore.pow2_exponent(res.b)
-    v = res.vectors
-    f_hat = cut.phi  # phi in the basis V
-    phi = v @ f_hat
-    g = kappa.mat @ np.conj(phi)
-    ay = math.ldexp(1.0, -shift) * (a.mat @ np.conj(np.column_stack([phi, g])))
-    g_hat, *ay_hat = (v.conj().T @ np.column_stack([g, ay])).T
-    resid = []
-    for u in ay_hat:
-        # Gram-Schmidt against f_k and kappa f_k inside each cell
-        cf = _cell_sums(cut.cell, np.conj(f_hat) * u, n)
-        cg = _cell_sums(cut.cell, np.conj(g_hat) * u, n)
-        resid.append(u - f_hat * cf[cut.cell] - g_hat * cg[cut.cell])
-    r1, r2 = resid
-    g11 = np.bincount(cut.cell, weights=np.abs(r1) ** 2, minlength=n + 1)
-    g22 = np.bincount(cut.cell, weights=np.abs(r2) ** 2, minlength=n + 1)
-    g12 = _cell_sums(cut.cell, np.conj(r1) * r2, n)
-    mid = (g11 + g22) / 2.0
-    rad = np.hypot((g11 - g22) / 2.0, np.abs(g12))
-    s = np.sqrt(np.maximum(np.concatenate([mid + rad, mid - rad]), 0.0))
-    smax = float(s.max(initial=0.0))
-    if smax == 0.0:
-        return 0.0
-    return math.ldexp(smax * float(2.0 * np.sum((s / smax) ** p)) ** (1.0 / p), shift)
-
-
 def _check_p(p):
     if not (1 < p < math.inf):
         raise InvalidP(f"the decomposition needs 1 < p < inf, got {p}")
 
 
-def _projection_split(p):
-    """Orthonormal bases of R(P) and R(I-P) from an approximate projection."""
-    w, v = np.linalg.eigh(p)
-    inside = v[:, w > 0.5]
-    outside = v[:, w <= 0.5]
-    return inside, outside
+def _schatten(s, p, times):
+    """(times * sum s^p)^(1/p), on s / max(s) so that no power overflows."""
+    smax = float(np.max(s, initial=0.0))
+    if smax == 0.0:
+        return 0.0
+    return smax * float(times * np.sum((s / smax) ** p)) ** (1.0 / p)
 
 
-def _outer_step(mat, k_total, w, budget, p, tol, rank_tol, kernel_floor, step_index):
-    """One outer step on the unexplored complement w of A + k_total, A = mat.
+def _swap(x):
+    """J x with J = diag([[0, 1], [-1, 0]], ...): the pair form B with r = 1,
+    and kappa(x) = J conj(x) in a pair basis."""
+    out = np.empty_like(x)
+    out[0::2] = x[1::2]
+    out[1::2] = -x[0::2]
+    return out
 
-    Factors the compression once.  Returns None when the compression is
-    numerical kernel (its norm at most ``kernel_floor``) or no seed is
-    left; otherwise (k_total plus the accepted step, the step's ||.||_p,
-    the basis of the captured block, the new complement, the norm of the
-    compression).  Its n x n temporaries are freed when it returns.
+
+def _pair_basis(youla):
+    """(V, r), A = V B V^tr with B = block_skew_matrix(r): U with each kernel
+    pair swapped, so that kappa = ``YoulaResult.kappa`` maps column 2j+1 to
+    column 2j, and r padded with zeros.  Raises OddKernel for an odd kernel."""
+    if youla.kernel_dim % 2 != 0:
+        raise OddKernel(
+            f"numerical kernel dimension {youla.kernel_dim} is odd; "
+            "no anticonjugation factorization exists"
+        )
+    cols = np.arange(youla.dim)
+    cols[2 * youla.r.size :] = cols[2 * youla.r.size :].reshape(-1, 2)[:, ::-1].ravel()
+    return youla.u[:, cols], np.concatenate([youla.r, np.zeros(youla.kernel_dim // 2)])
+
+
+def _step_norm(lam, cut, p):
+    """(||K||_p, d) of the step for ``cut`` in a pair basis with the values
+    lam; d[k] is the value of the pair captured in cell k.  With w = |phi|^2,
+    d_k = sum_k lam w, and Y_k = (I - P_k) A [f_k, kappa f_k]
+    = [(lam - d_k) kappa f_k, (d_k - lam) f_k] has two singular values
+    (sum_k (lam - d_k)^2 w)^(1/2), so ||K||_p^p = 4 sum_k of their p-th
+    powers.  lam is scaled by a power of two, so the result scales exactly.
     """
-    a_sub = AntilinearOperator(w.conj().T @ (mat + k_total) @ np.conj(w))
-    youla = youla_decompose(a_sub.mat, tol, rank_tol)
-    norm_sub = float(youla.r[0]) if youla.r.size else 0.0
-    if norm_sub <= kernel_floor:
-        # the rest is numerical kernel of A; its own roundoff spectrum need
-        # not pair, so it is not decomposed further
-        return None
-    # seed: first standard basis vector with mass left in the complement
-    seeds = np.flatnonzero(np.linalg.norm(w, axis=1) > SEED_TOL)
-    if seeds.size == 0:
-        return None
-    f_sub = w[seeds[0]].conj()
-    kappa = youla.kappa()
-    res = spectral_resolution(a_sub, tol, youla=youla)
-    cells = 4
-    while True:
-        cut = _cut_cells(res, f_sub, cells)
-        estimate = _step_norm_estimate(a_sub, kappa, res, cut, p)
-        # every accepted step and every BudgetFailure is decided by the
-        # dense norm; the estimate only skips attempts that finer cells can
-        # still improve
-        last = cut.saturated or cells >= N_MAX
-        if last or estimate * (1.0 - SCREEN_RTOL) - SCREEN_ATOL * res.b < budget:
-            step = rank_projection_step(a_sub, kappa, f_sub, cells, tol, res=res)
-            norm = schatten_norm(step.k, p)
-            if norm < budget:
-                break
-            if step.saturated or cells >= N_MAX:
-                raise BudgetFailure(
-                    f"||K||_p = {norm:.3e} >= budget {budget:.3e} at outer step "
-                    f"{step_index}: {cells} cells for {res.eigenvalues.size} clusters"
-                    + ("; finer cells give the same step" if step.saturated else "")
-                )
-        cells *= 2
-    inside, outside = _projection_split(step.p)
-    return k_total + w @ step.k.mat @ w.T, norm, w @ inside, w @ outside, norm_sub
+    shift = matcore.pow2_exponent(lam)
+    lam = np.ldexp(lam, -shift)
+    w = np.abs(cut.phi) ** 2
+    d = np.bincount(cut.cell, weights=lam * w, minlength=cut.n + 1)
+    var = np.bincount(cut.cell, weights=(lam - d[cut.cell]) ** 2 * w, minlength=cut.n + 1)
+    return math.ldexp(_schatten(np.sqrt(var), p, 4.0), shift), np.ldexp(d, shift)
+
+
+def _cell_complement(v, lam, fg, b, tol, rank_tol):
+    """Pair basis and values of the complement of fg = [f_k, kappa f_k] in a
+    cell with the columns v and values lam.  If lam is one value up to
+    roundoff (COUPLING_EPS * eps * b), B is that value times J there and the
+    reflection H = I - 2 W W*, W = [w, kappa w], which commutes with kappa and
+    maps the seed's largest pair into span(fg), keeps the other pairs; else
+    one Youla form of the compression of B gives them."""
+    if lam[0] - lam[-1] <= COUPLING_EPS * np.finfo(float).eps * b:
+        phi, g = fg.T
+        j = 2 * int(np.argmax(np.abs(phi[0::2]) ** 2 + np.abs(phi[1::2]) ** 2))
+        # y in span(phi, g) with y_j = |(phi_j, phi_j+1)| and y_j+1 = 0
+        y = (np.conj(phi[j]) * phi + phi[j + 1] * g) / np.hypot(abs(phi[j]), abs(phi[j + 1]))
+        y[j] += 1.0  # w = (e_j + y) / ||e_j + y||, so that H e_j = -y
+        w = np.column_stack([y, _swap(np.conj(y))]) / np.linalg.norm(y)
+        rest = np.r_[0:j, j + 2 : lam.size]
+        return v[:, rest] - 2.0 * (v @ w) @ w[rest].conj().T, lam[rest[0::2]]
+    q = np.linalg.qr(fg, mode="complete")[0][:, 2:]
+    c = q.conj().T @ (lam[:, None] * _swap(np.conj(q)))
+    vb, rb = _pair_basis(youla_decompose((c - c.T) / 2.0, tol, rank_tol))
+    return v @ (q @ vb), rb
 
 
 def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     """Decompose A = K + D with ||K||_p < epsilon and D block skew-diagonal.
 
-    Repeats the rank-projection step on the unexplored complement, seeding
-    each step with the first standard basis vector not yet captured and
-    doubling the partition size until the step perturbation fits half of
-    the budget left, (epsilon - spent) / 2, and stopping once the
-    compression to the complement is below rank_tol * ||A||, that is
-    numerical kernel.  Each captured block is then exactly
-    skew-diagonalized to produce the paired basis and the d-sequence; the
-    kernel left over is paired with d = 0.
-    D is A plus the sum of the step perturbations and K is minus that sum,
-    so A - K - D vanishes exactly.  Raises OddKernel when the numerical
-    kernel of A is odd dimensional, and BudgetFailure as soon as finer
-    cells cannot change a step that misses its budget.
+    Repeats the rank-projection step on the unexplored complement, seeded
+    with the first standard basis vector not yet captured, doubling the
+    cells until the step fits half of the budget left, (epsilon - spent) / 2,
+    until the rest is below rank_tol * ||A||, numerical kernel paired with
+    d = 0.  Each kept cell captures (f_k, kappa f_k) with
+    d_k = <kappa f_k, A f_k>.  D = A + sum of the steps and K = -sum, so
+    A - K - D vanishes exactly.  Raises OddKernel for an odd numerical
+    kernel, and BudgetFailure when epsilon <= ROUNDOFF_FLOOR eps ||A||_p or
+    finer cells cannot change a step that misses its budget.
     """
     _check_p(p)
     if epsilon <= 0:
@@ -338,52 +298,83 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     if not is_skew_self_adjoint(a, tol):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
     n = a.dim
-    mat = a.mat
-    k_total = np.zeros((n, n), dtype=complex)
-    w = np.eye(n, dtype=complex)  # orthonormal basis of the unexplored complement
-    blocks = []
-    step_index = 0
-    spent = 0.0  # sum of the accepted step norms
-    kernel_floor = -math.inf  # step 1 decomposes all of A
-    while w.shape[1] > 0:
-        step_index += 1
-        step = _outer_step(
-            mat, k_total, w, (epsilon - spent) / 2.0, p, tol, rank_tol, kernel_floor, step_index
+    # v: pair basis of the unexplored complement, r: its pair values, descending
+    v, r = _pair_basis(youla_decompose(a.mat, tol, rank_tol))
+    norm_a = _schatten(r, p, 2.0)
+    floor = ROUNDOFF_FLOOR * np.finfo(float).eps * norm_a
+    if epsilon <= floor:
+        raise BudgetFailure(
+            f"epsilon {epsilon:.3e} is at or below the roundoff floor {floor:.3e} "
+            f"= {ROUNDOFF_FLOOR:g} eps ||A||_p with ||A||_p = {norm_a:.3e}"
         )
-        if step is None:
+    kernel_floor = rank_tol * float(r.max(initial=0.0))
+    # per kept cell of every step: f_k, kappa f_k and Y_k, as columns of C^n
+    captured, d_values = [], []
+    spent = 0.0  # sum of the accepted step norms
+    step = 0
+    while v.shape[1] > 0 and (step == 0 or r[0] > kernel_floor):
+        # seed: first standard basis vector with mass left in the complement
+        seeds = np.flatnonzero(np.linalg.norm(v, axis=1) > SEED_TOL)
+        if seeds.size == 0:
             break
-        k_total, norm, block, w, norm_sub = step
-        if step_index == 1:  # the compression was A itself
-            kernel_floor = rank_tol * norm_sub
+        step += 1
+        lam = np.repeat(r, 2)
+        res = _resolve(v, lam)
+        coef = v[seeds[0]].conj()
+        budget = (epsilon - spent) / 2.0
+        cells = 4
+        while True:
+            cut = _cut_cells(res, coef, cells)
+            norm, d = _step_norm(lam, cut, p)
+            if norm < budget:
+                break
+            if cut.saturated or cells >= N_MAX:
+                raise BudgetFailure(
+                    f"||K||_p = {norm:.3e} >= budget {budget:.3e} at outer step "
+                    f"{step}: {cells} cells for {res.eigenvalues.size} clusters"
+                    + ("; finer cells give the same step" if cut.saturated else "")
+                )
+            cells *= 2
         spent += norm
-        blocks.append(block)
 
-    d_mat = mat + k_total
-    basis = []
-    d_values = []
-    for vb in blocks:
-        sub_d = vb.conj().T @ d_mat @ np.conj(vb)
-        yres = youla_decompose(sub_d, 1e-8, 1e-8)
-        # Youla columns hold (f, e) for each r_j, then the kernel pairs with d = 0
-        cols = vb @ yres.u
-        paired = 2 * yres.r.size
-        basis.extend((cols[:, j + 1], cols[:, j]) for j in range(0, paired, 2))
-        basis.extend((cols[:, j], cols[:, j + 1]) for j in range(paired, cols.shape[1], 2))
-        d_values.extend([float(r) for r in yres.r] + [0.0] * (yres.kernel_dim // 2))
-    # the numerical kernel left when the loop stops early, d = 0
-    basis.extend((w[:, j], w[:, j + 1]) for j in range(0, w.shape[1], 2))
-    d_values.extend([0.0] * (w.shape[1] // 2))
+        # cells are runs of columns, as lam descends; the cells the seed
+        # missed keep their pairs, each other one leaves its own complement
+        phi, g, dev = cut.phi, _swap(np.conj(cut.phi)), lam - d[cut.cell]
+        x = np.column_stack([phi, g, dev * g, -dev * phi])
+        starts = np.flatnonzero(np.diff(cut.cell, prepend=-1))
+        kept = np.isin(cut.cell[starts], cut.kept)
+        d_values.append(d[cut.cell[starts[kept]]])
+        rest = ~np.isin(cut.cell, cut.kept)
+        v_parts, r_parts = [v[:, rest]], [r[rest[0::2]]]
+        for lo, hi in zip(starts[kept], np.append(starts[1:], lam.size)[kept]):
+            captured.append(v[:, lo:hi] @ x[lo:hi])
+            if hi - lo > 2:
+                vb, rb = _cell_complement(
+                    v[:, lo:hi], lam[lo:hi], x[lo:hi, :2], res.b, tol, rank_tol
+                )
+                v_parts.append(vb)
+                r_parts.append(rb)
+        r = np.concatenate(r_parts)
+        order = np.argsort(-r, kind="stable")
+        v = np.hstack(v_parts)[:, (2 * order[:, None] + np.arange(2)).ravel()]
+        r = r[order]
 
-    k = AntilinearOperator(-k_total)
+    efy = np.stack(captured, axis=1) if captured else np.zeros((n, 0, 4), dtype=complex)
+    # the sum of the steps K = Q Y^tr - Y Q^tr, Q = [f_k, kappa f_k] per kept cell
+    fe = efy[:, :, :2].reshape(n, -1) @ efy[:, :, 2:].reshape(n, -1).T
+    k_total = fe - fe.T
+    # the kernel left over pairs column 2j+1 with column 2j, d = 0
+    e, f = np.hstack([efy[:, :, 0], v[:, 1::2]]), np.hstack([efy[:, :, 1], v[:, 0::2]])
     return WvnResult(
-        k=k,
-        d=AntilinearOperator(d_mat),
-        basis=basis,
-        d_values=np.array(d_values),
+        k=AntilinearOperator(-k_total),
+        d=AntilinearOperator(a.mat + k_total),
+        basis=list(zip(e.T, f.T)),
+        d_values=np.concatenate(d_values + [np.zeros(v.shape[1] // 2)]),
         p=p,
         epsilon=epsilon,
-        achieved_norm=schatten_norm(k, p),
+        achieved_norm=spent,
     )
+
 
 @dataclass(frozen=True)
 class SkewWvnResult:
@@ -407,21 +398,16 @@ def skew_symmetric_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT
     t = matcore.require_square(t)
     if not is_tau_skew_symmetric(t, tau, tol):
         raise NotSkewSymmetric("matrix is not tau-skew-symmetric within tolerance")
-    r_basis = tau_fixed_basis(tau)
-    t_fixed = r_basis.conj().T @ t @ r_basis  # plain skew-symmetric here
-    a = AntilinearOperator(t_fixed)
-    res = wvn_decompose(a, epsilon, p, tol, rank_tol)
-    n = t.shape[0]
-    k = r_basis @ res.k.mat @ r_basis.conj().T
-    d = block_skew_matrix(res.d_values, n)
-    cols = []
-    for e, f in res.basis:
-        # column order (f, e) makes U D U^tr reproduce the antilinear block form
-        cols.extend([r_basis @ f, r_basis @ e])
-    u = np.column_stack(cols) if cols else np.eye(n, dtype=complex)
-    return SkewWvnResult(
-        k=k, d=d, u=u, d_values=res.d_values, achieved_norm=res.achieved_norm
-    )
+    # the standard basis is tau-fixed for the standard conjugation
+    r_basis = None if tau.is_standard() else tau_fixed_basis(tau)
+    t_fixed = t if r_basis is None else r_basis.conj().T @ t @ r_basis  # plain skew-symmetric
+    res = wvn_decompose(AntilinearOperator(t_fixed), epsilon, p, tol, rank_tol)
+    # column order (f, e) makes U D U^tr reproduce the antilinear block form
+    k, u = res.k.mat, np.column_stack([x for e, f in res.basis for x in (f, e)])
+    if r_basis is not None:
+        k, u = r_basis @ k @ r_basis.conj().T, r_basis @ u
+    d = block_skew_matrix(res.d_values, t.shape[0])
+    return SkewWvnResult(k=k, d=d, u=u, d_values=res.d_values, achieved_norm=res.achieved_norm)
 
 
 def skew_wvn_residual(t, tau, result):

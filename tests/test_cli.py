@@ -25,6 +25,39 @@ def test_cmat_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back, m)
 
 
+def per_entry_cmat(m):
+    """The entry-by-entry CMAT formatter: the reference for ``format_cmat``."""
+    rows, cols = m.shape
+    lines = [f"CMAT v1 {rows} {cols}"]
+    for i in range(rows):
+        lines.append(
+            " ".join(
+                f"{float(m[i, j].real)!r},{float(m[i, j].imag)!r}" for j in range(cols)
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_format_cmat_matches_the_per_entry_formatter():
+    rng = np.random.default_rng(61)
+    m = random_complex(rng, 9, 6) * 10.0 ** rng.integers(-300, 300, (9, 6))
+    m[0, :4] = [-0.0, complex(0.0, -0.0), 5e-324 - 2.2e-308j, 1e308 + -1e308j]
+    m[1, 0] = complex(-0.0, -0.0)
+    text = cmatio.format_cmat(m)
+    assert text == per_entry_cmat(m)
+    back = cmatio.parse_cmat(text)
+    assert np.array_equal(back.view(np.int64), m.view(np.int64))
+
+
+def test_cmat_parse_errors_on_irregular_tokens_carry_location():
+    # rows with two commas or four numbers that are not two tokens re,im
+    cases = (("1,2,3 4", 1), ("1 ,5", 1), ("0,0 1,", 2), (",0 1,1", 1), ("1 ,5 3,4", None))
+    for row, column in cases:
+        with pytest.raises(ParseError) as excinfo:
+            cmatio.parse_cmat(f"CMAT v1 2 2\n0,0 0,0\n{row}\n")
+        assert (excinfo.value.line, excinfo.value.column) == (3, column)
+
+
 def test_cmat_rejects_unknown_version():
     with pytest.raises(ParseError):
         cmatio.parse_cmat("CMAT v2 1 1\n0,0\n")
@@ -226,6 +259,14 @@ def test_cli_input_errors(tmp_path):
     assert main(["verify", str(tmp_path / "missing.cmat")]) == 2
     assert main(["gen", "--kind", "skew-symmetric-rank", "--dim", "6",
                  "--rank", "3", "--out", str(tmp_path / "x.cmat")]) == 2
+
+
+def test_cli_wvn_refuses_epsilon_at_the_roundoff_floor(tmp_path, capsys):
+    path = tmp_path / "huge.cmat"
+    cmatio.write_cmat(path, generate.gen("skew-symmetric", 16, None, 5) * 1e150)
+    code = main(["wvn", str(path), "--epsilon", "1e-3", "--out-prefix", str(tmp_path / "o")])
+    assert code == 2
+    assert "roundoff floor" in capsys.readouterr().err
 
 
 def test_cli_odd_kernel_exit(tmp_path):

@@ -10,7 +10,7 @@ from skewvn.antilinear import (
     make_anticonjugation,
     tau_fixed_basis,
 )
-from skewvn.canonical import K2, polar_factorize
+from skewvn.canonical import K2, YoulaResult, polar_factorize, youla_decompose
 from skewvn.errors import BudgetFailure, InvalidP, OddKernel, ZeroVector
 from skewvn.matcore import frob
 from skewvn.schatten import schatten_norm
@@ -110,6 +110,16 @@ def test_spectral_resolution_two_blocks():
         assert frob(proj - proj.conj().T) <= 1e-10
     total = sum(projections)
     assert frob(total - np.eye(4)) <= 1e-10
+
+
+def test_spectral_resolution_top_cluster_lies_in_a_cell():
+    # the mean of three pairs at 0.7 rounds up to 0.7000000000000001; the
+    # cluster must still lie in a cell, not beyond b
+    youla = YoulaResult(u=np.eye(6, dtype=complex), r=np.full(3, 0.7), kernel_dim=0)
+    res = spectral_resolution(AntilinearOperator(block_skew_matrix(youla.r, 6)), youla=youla)
+    assert res.eigenvalues[0] > 0.7
+    for n in (1, 4, 7):
+        assert list(res.cells(n)) == [n - 1]
 
 
 def test_spectral_projection_selection():
@@ -539,47 +549,75 @@ def test_wvn_near_degenerate_reconstruction_is_exact():
     assert result.achieved_norm < 1e-3
 
 
-def count_calls(monkeypatch, name, key):
-    """Record key(args) for every call to ``wvn.<name>``."""
+def count_calls(monkeypatch, name, key, module=wvn):
+    """Record key(args) for every call to ``module.<name>``."""
     calls = []
-    real = getattr(wvn, name)
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(key(args))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(wvn, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def count_attempts(monkeypatch):
-    """Cell counts of the screened attempts and of the dense steps."""
-    screened = count_calls(monkeypatch, "_step_norm_estimate", lambda args: args[3].n)
+    """Cell counts of the attempted steps and of the dense steps."""
+    attempts = count_calls(monkeypatch, "_step_norm", lambda args: args[1].n)
     dense = count_calls(monkeypatch, "rank_projection_step", lambda args: args[3])
-    return screened, dense
+    return attempts, dense
+
+
+def accepted_per_step(attempts):
+    """The accepted cell count of each outer step; every step starts at 4."""
+    starts = [i for i, cells in enumerate(attempts) if cells == 4] + [len(attempts)]
+    return [attempts[j - 1] for j in starts[1:]]
 
 
 def test_wvn_budget_failure_stops_when_cells_saturate(monkeypatch):
-    # at scale 1e150 the roundoff in K is ~1e134, far above epsilon = 1e-3;
-    # once every cluster has its own cell finer cells cannot help
-    a = AntilinearOperator(generate.gen("skew-symmetric", 16, None, 5) * 1e150)
-    screened, dense = count_attempts(monkeypatch)
+    # the pairs at 1 and 1 + 5e-9 form one cluster (their gap is below
+    # CLUSTER_TOL * 2), so every step keeps their spread in K, ~1e-9, far
+    # above epsilon = 1e-10; once every cluster has its own cell finer cells
+    # cannot help
+    u = generate.random_unitary(np.random.default_rng(5), 16)
+    m = u @ block_skew_matrix([2.0, 1.7, 1.3, 1.0 + 5e-9, 1.0, 0.6, 0.3, 0.1], 16) @ u.T
+    a = AntilinearOperator((m - m.T) / 2.0)
+    attempts, dense = count_attempts(monkeypatch)
     with pytest.raises(BudgetFailure) as excinfo:
-        wvn_decompose(a, 1e-3)
+        wvn_decompose(a, 1e-10)
     # first cell count 4 * 2^j at which the clusters of |A| sit in distinct cells
     res = spectral_resolution(a)
+    assert res.eigenvalues.size == 7
     cells = 4
     while True:
         owners = oracle_cells(res, cells)
         if len(set(owners)) == len(owners):
             break
         cells *= 2
-    assert screened == [4 * 2**j for j in range(int(math.log2(cells // 4)) + 1)]
-    # only the saturated attempt forms its step, and it decides the failure
-    assert dense == [cells]
+    assert attempts == [4 * 2**j for j in range(int(math.log2(cells // 4)) + 1)]
+    assert dense == []
     message = str(excinfo.value)
     assert f"{cells} cells" in message and f"{res.eigenvalues.size} clusters" in message
-    assert "budget 5.000e-04" in message
+    assert "budget 5.000e-11" in message
+    assert "finer cells give the same step" in message
+
+
+def test_wvn_refuses_epsilon_at_the_roundoff_floor(monkeypatch):
+    # at scale 1e150 the roundoff of any step is ~1e135, far above
+    # epsilon = 1e-3; the request is refused before the first attempt
+    m = generate.gen("skew-symmetric", 16, None, 5) * 1e150
+    attempts, dense = count_attempts(monkeypatch)
+    with pytest.raises(BudgetFailure) as excinfo:
+        wvn_decompose(AntilinearOperator(m), 1e-3)
+    assert attempts == [] and dense == []
+    floor = wvn.ROUNDOFF_FLOOR * np.finfo(float).eps * frob(m)  # ||A||_2 = ||M||_F
+    message = str(excinfo.value)
+    assert "epsilon 1.000e-03" in message
+    assert f"floor {floor:.3e}" in message and f"||A||_p = {frob(m):.3e}" in message
+    # just above the floor the same input decomposes
+    result = wvn_decompose(AntilinearOperator(m), 2.0 * floor)
+    assert result.achieved_norm < 2.0 * floor
 
 
 def test_wvn_budget_does_not_underflow_on_many_outer_steps():
@@ -605,30 +643,41 @@ def estimate_inputs():
         yield u @ block_skew_matrix(np.concatenate([r, r * (1.0 + 1e-7)]), n) @ u.T
 
 
+def roundoff(m):
+    """The agreement asked of the pair-basis loop and the dense one."""
+    return 1e3 * np.finfo(float).eps * frob(m)
+
+
 def test_step_norm_estimate_matches_dense_norm():
+    # the step in the pair basis of one Youla form: ||K||_p against the
+    # Schatten norm of the dense step, d_k against <f_k, |A| f_k>
     for m in estimate_inputs():
         a = AntilinearOperator(m)
-        kappa = polar_factorize(a).kappa
-        res = spectral_resolution(a)
+        youla = youla_decompose(m)
+        v, r = wvn._pair_basis(youla)
+        lam = np.repeat(r, 2)
+        res = wvn._resolve(v, lam)
         f = np.eye(a.dim)[:, 0]
         for cells in [4 * 2**j for j in range(11)]:
-            step = rank_projection_step(a, kappa, f, cells, res=res)
-            cut = wvn._cut_cells(res, f, cells)
+            step = rank_projection_step(a, youla.kappa(), f, cells, res=res)
+            cut = wvn._cut_cells(res, v.conj().T @ f, cells)
             for p in (1.5, 2.0, 3.0):
+                norm, d = wvn._step_norm(lam, cut, p)
                 dense = schatten_norm(step.k, p)
-                estimate = wvn._step_norm_estimate(a, kappa, res, cut, p)
-                if dense > 1e-8 * res.b:
-                    assert abs(estimate - dense) <= 1e-6 * dense
-                else:
-                    assert abs(estimate - dense) <= 1e-12 * res.b
+                tol = 1e-6 * dense if dense > 1e-8 * res.b else 1e-12 * res.b
+                assert abs(norm - dense) <= min(tol, roundoff(m))
+            fs = v @ ((cut.cell[:, None] == cut.kept) * cut.phi[:, None])
+            expected = np.sum(fs.conj() * (youla.modulus() @ fs), axis=0).real
+            assert np.max(np.abs(d[cut.kept] - expected)) <= roundoff(m)
 
 
 def dense_accepted_cells(a, epsilon, p=2.0):
-    """Cells of the accepted step of each outer step of the unscreened loop."""
+    """The outer loop of dense steps: the accepted cells of each outer step,
+    K, and the d-values, from one more Youla form of each captured block."""
     n = a.dim
     k_total = np.zeros((n, n), dtype=complex)
     w = np.eye(n, dtype=complex)
-    accepted = []
+    accepted, blocks = [], []
     spent = 0.0
     while w.shape[1] > 0:
         sub = AntilinearOperator(w.conj().T @ (a.mat + k_total) @ np.conj(w))
@@ -650,57 +699,69 @@ def dense_accepted_cells(a, epsilon, p=2.0):
         spent += norm
         k_total = k_total + w @ step.k.mat @ w.T
         evals, evecs = np.linalg.eigh(step.p)
+        blocks.append(w @ evecs[:, evals > 0.5])
         w = w @ evecs[:, evals <= 0.5]
-    return accepted
+    d_mat = a.mat + k_total
+    d_values = [youla_decompose(b.conj().T @ d_mat @ np.conj(b)).r for b in blocks]
+    return accepted, -k_total, np.concatenate(d_values)
 
 
 def test_screened_loop_accepts_the_dense_cell_counts(monkeypatch):
     for m, epsilon in zip(estimate_inputs(), (1e-1, 1e-2, 1e-3, 1e-2, 1e-4, 1e-2, 1e-3)):
         a = AntilinearOperator(m)
-        expected = dense_accepted_cells(a, epsilon)
-        _, dense = count_attempts(monkeypatch)
-        wvn_decompose(a, epsilon)
+        accepted, k, d_values = dense_accepted_cells(a, epsilon)
+        attempts, dense = count_attempts(monkeypatch)
+        result = wvn_decompose(a, epsilon)
         monkeypatch.undo()
-        # one dense step per outer step, and it is the accepted one
-        assert dense == expected
+        assert accepted_per_step(attempts) == accepted
+        assert dense == []
+        assert frob(result.k.mat - k) <= roundoff(m)
+        assert np.max(np.abs(np.sort(result.d_values) - np.sort(d_values))) <= roundoff(m)
 
 
-def test_one_dense_step_per_outer_step_on_generic_input(monkeypatch):
-    a = AntilinearOperator(generate.gen("skew-symmetric", 128, None, 7))
-    screened, dense = count_attempts(monkeypatch)
-    outer = count_calls(monkeypatch, "spectral_resolution", lambda args: args[0].dim)
+def test_generic_wvn_factors_once_and_forms_no_dense_step(monkeypatch):
+    n = 128
+    a = AntilinearOperator(generate.gen("skew-symmetric", n, None, 7))
+    attempts, dense = count_attempts(monkeypatch)
+    youla = count_calls(monkeypatch, "youla_decompose", lambda args: args[0].shape)
+    solvers = {  # shapes of the SVDs and eigensolves
+        name: count_calls(monkeypatch, name, lambda args: args[0].shape, module=np.linalg)
+        for name in ("svd", "eigh", "eig", "eigvals", "eigvalsh")
+    }
     result = wvn_decompose(a, 1e-2)
+    monkeypatch.undo()
+    assert len(accepted_per_step(attempts)) == 1
+    assert dense == []
+    assert youla == [(n, n)]
+    # Youla's eigensolve of the Gram matrix is the only n x n one
+    square = [name for name, shapes in solvers.items() for shape in shapes if shape == (n, n)]
+    assert square == ["eigh"]
+    # one outer step: the sum of the step norms is ||K||_p
     assert result.achieved_norm < 1e-2
-    assert len(dense) == len(outer) >= 1
-    assert len(screened) > len(dense)
+    assert abs(result.achieved_norm - schatten_norm(result.k, 2.0)) <= roundoff(a.mat)
 
 
 def test_wvn_factors_once_per_outer_step(monkeypatch):
-    # each outer step reads kappa and the resolution of |A| off one Youla
-    # form; the final pass factors each captured block once more
-    youla, given = [], []
-    real_youla, real_res = wvn.youla_decompose, wvn.spectral_resolution
-
-    def counting_youla(mat, *args, **kwargs):
-        youla.append(mat.shape[0])
-        return real_youla(mat, *args, **kwargs)
-
-    def counting_res(a, *args, youla=None, **kwargs):
-        given.append((a.dim, youla is not None))
-        return real_res(a, *args, youla=youla, **kwargs)
-
-    monkeypatch.setattr(wvn, "youla_decompose", counting_youla)
-    monkeypatch.setattr(wvn, "spectral_resolution", counting_res)
+    # A is factored once; a later step factors only the blocks that its
+    # kept cells leave, and none where a cell holds one value up to roundoff
+    youla = count_calls(monkeypatch, "youla_decompose", lambda args: args[0].shape[0])
+    attempts, _ = count_attempts(monkeypatch)
+    resolutions = count_calls(monkeypatch, "spectral_resolution", lambda args: args[0].dim)
     u = generate.random_unitary(np.random.default_rng(4), 32)
     m = u @ block_skew_matrix(np.repeat([2.0, 1.5, 1.0, 0.5], 4), 32) @ u.T
     result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-2)
     assert result.achieved_norm < 1e-2
-    steps = len(given)
-    assert steps > 1
-    assert given == [(dim, True) for dim in youla[:steps]]
-    # one more call per captured block, and the blocks cover the space
-    assert len(youla) == 2 * steps
-    assert sum(youla[steps:]) == 32
+    assert len(accepted_per_step(attempts)) > 1
+    assert youla == [32] and resolutions == []
+    # ten distinct values: cells of several values leave blocks to factor
+    del youla[:], attempts[:]
+    m = u @ block_skew_matrix(np.linspace(2.0, 0.2, 16), 32) @ u.T
+    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 0.5)
+    assert result.achieved_norm < 0.5
+    assert len(accepted_per_step(attempts)) > 1
+    assert youla[0] == 32 and len(youla) > 1
+    assert all(0 < dim < 32 and dim % 2 == 0 for dim in youla[1:])
+    assert frob(m - result.k.mat - result.d.mat) <= 1e-10 * frob(m)
 
 
 def test_wvn_kernel_heavy_input():
