@@ -65,6 +65,8 @@ class Conjugation:
         c = matcore.require_square(self.mat)
         object.__setattr__(self, "mat", c)
         n = c.shape[0]
+        if self.is_standard(0.0):  # the identity's residuals are exactly 0
+            return
         if frob(c.conj().T @ c - np.eye(n)) > self.tol * max(1.0, np.sqrt(n)):
             raise SkewvnError("conjugation matrix is not unitary")
         if frob(c @ np.conj(c) - np.eye(n)) > self.tol * max(1.0, np.sqrt(n)):
@@ -73,7 +75,7 @@ class Conjugation:
     @classmethod
     def standard(cls, n):
         """Entrywise conjugation, fixing every standard basis vector."""
-        return cls(np.eye(n))
+        return cls(np.eye(n, dtype=complex))
 
     @property
     def dim(self):
@@ -83,7 +85,10 @@ class Conjugation:
         return self.mat @ np.conj(np.asarray(x, dtype=complex))
 
     def is_standard(self, tol=DEFAULT_TOL):
-        return frob(self.mat - np.eye(self.dim)) <= tol
+        """Within tol of I; the exact identity is told in O(n^2), no n x n copy."""
+        c = self.mat
+        exact = np.count_nonzero(c) == self.dim and bool(np.all(c.diagonal() == 1))
+        return exact or frob(c - np.eye(self.dim)) <= tol
 
 
 @dataclass(frozen=True)

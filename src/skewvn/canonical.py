@@ -162,13 +162,19 @@ def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     # exact power-of-two prescale: the Gram matrix of a matrix near 2^+-600
     # would overflow or underflow, and r scales back exactly
     shift = matcore.pow2_exponent(m)
-    scaled = m * math.ldexp(1.0, -shift)
+    scale = math.ldexp(1.0, -shift)
+    scaled = m * scale
     gram = scaled @ scaled.conj().T
-    w = np.linalg.eigh((gram + gram.conj().T) / 2.0)[1]
+    del scaled  # rebuilt bit for bit below: eigh holds no n x n array of ours but gram
+    gram += gram.conj().T
+    gram /= 2.0
+    w = np.linalg.eigh(gram)[1]
     del gram
-    c = w.conj().T @ scaled @ np.conj(w)
-    del scaled
-    c = (c - c.T) / 2.0
+    # C = W* M' conj(W) = conj(W^tr conj(M') W), from transposed views of W
+    c = w.T @ np.conj(m * scale) @ w
+    np.conj(c, out=c)
+    c -= c.T
+    c /= 2.0
 
     # U = W diag(g_1, g_2, ...) with c = g_i B_i g_i^tr on each block,
     # formed in place of W

@@ -11,8 +11,6 @@ checks pass, 1 a verification check failed, 2 input or usage error.
 import argparse
 import sys
 
-import numpy as np
-
 from . import canonical, checks, cmatio, generate, wvn as wvn_mod
 from .antilinear import AntilinearOperator, Conjugation
 from .checks import VerificationReport
@@ -148,8 +146,7 @@ def _cmd_wvn(args):
     result = wvn_mod.wvn_decompose(a, args.epsilon, args.p, args.tol, args.rank_tol)
     cmatio.write_cmat(f"{args.out_prefix}.K.cmat", result.k.mat)
     cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.d.mat)
-    u = np.column_stack([v for pair in result.basis for v in pair])
-    cmatio.write_cmat(f"{args.out_prefix}.U.cmat", u)
+    cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
     _write_values(args.out_prefix, result.d_values)
     return _finish(args.out_prefix, checks.wvn, m, result.k.mat, result.d.mat,
                    result.basis, result.d_values, args.epsilon, args.p)

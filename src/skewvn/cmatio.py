@@ -89,6 +89,9 @@ def read_cmat(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x}", line=line)
     return parse_cmat(text)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InvalidRank
+from .errors import DimensionMismatch, InvalidRank, SkewvnError
 
 KINDS = ("skew-symmetric", "skew-symmetric-rank", "tau-skew-symmetric-with-kernel")
 
@@ -58,6 +58,12 @@ def random_skew_with_kernel(dim, rank, seed):
 
 def gen(kind, dim, rank=None, seed=0):
     """Deterministic generator dispatch; see KINDS."""
+    if dim < 1:
+        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+    if rank is not None and rank < 0:
+        raise InvalidRank(f"rank must be nonnegative, got {rank}")
+    if seed < 0:
+        raise SkewvnError(f"seed must be nonnegative, got {seed}")
     if kind == "skew-symmetric":
         return random_skew_symmetric(dim, seed)
     if kind == "skew-symmetric-rank":

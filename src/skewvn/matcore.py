@@ -3,8 +3,8 @@
 Everything downstream works on square complex numpy arrays.  The helpers
 here pin down the tolerance and scaling conventions: input coercion, a
 Frobenius norm that scales exactly, the power-of-two exponent behind every
-exact prescale, and Gram-Schmidt with an explicit drop threshold (used
-for tau-fixed bases; spectral objects come from ``canonical``).
+exact prescale, and block Gram-Schmidt with an explicit drop threshold
+(used for tau-fixed bases; spectral objects come from ``canonical``).
 """
 
 import math
@@ -43,22 +43,23 @@ def frob(m):
 def orthonormalize(vectors, tol=DEFAULT_TOL):
     """Orthonormalize a sequence of complex vectors.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass.  Vectors whose
-    residual after projection onto the accepted set has norm <= tol are
-    dropped, so the output may be shorter than the input (or empty).
+    Block classical Gram-Schmidt, twice (CGS2): each candidate in turn loses
+    its projection onto all accepted vectors at once.  Vectors whose residual
+    then has norm <= tol are dropped, so the output may be shorter (or empty).
     """
-    basis = []
-    for vec in vectors:
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        if basis and v.shape != basis[0].shape:
-            raise DimensionMismatch("vectors have mixed dimensions")
+    vecs = [np.asarray(vec, dtype=complex).reshape(-1) for vec in vectors]
+    if any(v.shape != vecs[0].shape for v in vecs):
+        raise DimensionMismatch("vectors have mixed dimensions")
+    basis = np.empty((len(vecs), vecs[0].size if vecs else 0), dtype=complex)
+    k = 0  # accepted vectors, the rows basis[:k]
+    for v in vecs:
         for _ in range(2):
-            for b in basis:
-                v = v - b * np.vdot(b, v)
+            v = v - np.conj(basis[:k] @ np.conj(v)) @ basis[:k]  # v - B B* v
         nrm = np.linalg.norm(v)
         if nrm > tol:
-            basis.append(v / nrm)
-    return basis
+            basis[k] = v / nrm
+            k += 1
+    return list(basis[:k])
 
 
 def pow2_exponent(mat):

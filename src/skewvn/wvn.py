@@ -10,8 +10,8 @@ every step in a Youla basis, where A is the pair form B and kappa swaps each
 pair: the step is block-diagonal by cell, its ||K||_p and the value d_k of
 each captured pair are per-cell sums, and the rest of a kept cell is the
 complement of (f_k, kappa f_k) there, which the next step factors on its
-own.  n x n arrays are formed once, at the end; the numerical kernel left
-then joins the basis as pairs with d = 0.
+own.  Kept cells write (f_k, kappa f_k) and Y_k into two n x n arrays, which
+give K, D and the basis at the end; the kernel left closes the basis, d = 0.
 """
 
 import math
@@ -104,11 +104,16 @@ class WvnResult:
 
     k: AntilinearOperator
     d: AntilinearOperator
-    basis: list
+    u: np.ndarray
     d_values: np.ndarray
     p: float
     epsilon: float
     achieved_norm: float
+
+    @property
+    def basis(self):
+        """[(e_j, f_j)], views of ``u``, whose columns are e_1, f_1, e_2, ..."""
+        return list(zip(self.u[:, 0::2].T, self.u[:, 1::2].T))
 
 
 def _resolve(vectors, lam):
@@ -293,8 +298,8 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     finer cells cannot change a step that misses its budget.
     """
     _check_p(p)
-    if epsilon <= 0:
-        raise SkewvnError("epsilon must be positive")
+    if not epsilon > 0:
+        raise SkewvnError(f"epsilon must be positive, got {epsilon}")
     if not is_skew_self_adjoint(a, tol):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
     n = a.dim
@@ -308,8 +313,9 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
             f"= {ROUNDOFF_FLOOR:g} eps ||A||_p with ||A||_p = {norm_a:.3e}"
         )
     kernel_floor = rank_tol * float(r.max(initial=0.0))
-    # per kept cell of every step: f_k, kappa f_k and Y_k, as columns of C^n
-    captured, d_values = [], []
+    # kept cell i: f_k, kappa f_k in columns 2i, 2i+1 of u, and Y_k in those of y
+    u, y = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    used, d_values = 0, []
     spent = 0.0  # sum of the accepted step norms
     step = 0
     while v.shape[1] > 0 and (step == 0 or r[0] > kernel_floor):
@@ -347,7 +353,8 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
         rest = ~np.isin(cut.cell, cut.kept)
         v_parts, r_parts = [v[:, rest]], [r[rest[0::2]]]
         for lo, hi in zip(starts[kept], np.append(starts[1:], lam.size)[kept]):
-            captured.append(v[:, lo:hi] @ x[lo:hi])
+            u[:, used : used + 2], y[:, used : used + 2] = np.hsplit(v[:, lo:hi] @ x[lo:hi], 2)
+            used += 2
             if hi - lo > 2:
                 vb, rb = _cell_complement(
                     v[:, lo:hi], lam[lo:hi], x[lo:hi, :2], res.b, tol, rank_tol
@@ -359,16 +366,16 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
         v = np.hstack(v_parts)[:, (2 * order[:, None] + np.arange(2)).ravel()]
         r = r[order]
 
-    efy = np.stack(captured, axis=1) if captured else np.zeros((n, 0, 4), dtype=complex)
     # the sum of the steps K = Q Y^tr - Y Q^tr, Q = [f_k, kappa f_k] per kept cell
-    fe = efy[:, :, :2].reshape(n, -1) @ efy[:, :, 2:].reshape(n, -1).T
-    k_total = fe - fe.T
+    k_total = u[:, :used] @ y[:, :used].T
+    del y
+    k_total -= k_total.T
     # the kernel left over pairs column 2j+1 with column 2j, d = 0
-    e, f = np.hstack([efy[:, :, 0], v[:, 1::2]]), np.hstack([efy[:, :, 1], v[:, 0::2]])
+    u[:, used::2], u[:, used + 1 :: 2] = v[:, 1::2], v[:, 0::2]
     return WvnResult(
-        k=AntilinearOperator(-k_total),
-        d=AntilinearOperator(a.mat + k_total),
-        basis=list(zip(e.T, f.T)),
+        d=AntilinearOperator(a.mat + k_total),  # before k_total is negated in place
+        k=AntilinearOperator(np.negative(k_total, out=k_total)),
+        u=u,
         d_values=np.concatenate(d_values + [np.zeros(v.shape[1] // 2)]),
         p=p,
         epsilon=epsilon,
@@ -403,7 +410,7 @@ def skew_symmetric_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT
     t_fixed = t if r_basis is None else r_basis.conj().T @ t @ r_basis  # plain skew-symmetric
     res = wvn_decompose(AntilinearOperator(t_fixed), epsilon, p, tol, rank_tol)
     # column order (f, e) makes U D U^tr reproduce the antilinear block form
-    k, u = res.k.mat, np.column_stack([x for e, f in res.basis for x in (f, e)])
+    k, u = res.k.mat, res.u[:, np.arange(t.shape[0]) ^ 1]
     if r_basis is not None:
         k, u = r_basis @ k @ r_basis.conj().T, r_basis @ u
     d = block_skew_matrix(res.d_values, t.shape[0])

@@ -222,6 +222,18 @@ def test_conjugation_rejects_non_involution():
         Conjugation(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
+def test_conjugation_checks_every_matrix_but_the_exact_identity():
+    n = 8
+    assert Conjugation.standard(n).is_standard()
+    assert Conjugation(np.eye(n)).is_standard()
+    near = np.eye(n, dtype=complex)
+    near[0, 1] = 1e-6  # not unitary
+    cycle = np.eye(n)[:, [1, 2, 0, *range(3, n)]]  # unitary, C conj(C) != I
+    for c in (near, cycle):
+        with pytest.raises(SkewvnError):
+            Conjugation(c)
+
+
 def test_tau_fixed_basis_standard():
     assert np.array_equal(tau_fixed_basis(Conjugation.standard(3)), np.eye(3))
 

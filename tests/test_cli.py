@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewvn import canonical, cli, cmatio, generate, wvn
 from skewvn.cli import VerificationReport, main, run_verify
@@ -261,6 +265,26 @@ def test_cli_input_errors(tmp_path):
                  "--rank", "3", "--out", str(tmp_path / "x.cmat")]) == 2
 
 
+def test_cli_refuses_non_ascii_input(tmp_path, capsys):
+    bad = tmp_path / "latin1.cmat"
+    bad.write_bytes(b"CMAT v1 2 2\n0,0 1,0\n-1,0 0,\xe9\n")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "non-ASCII byte 0xe9 (line 3)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "skew-symmetric", "--dim", "-3"],
+    ["--kind", "skew-symmetric", "--dim", "0"],
+    ["--kind", "skew-symmetric-rank", "--dim", "6", "--rank", "-2"],
+    ["--kind", "skew-symmetric", "--dim", "6", "--seed", "-1"],
+])
+def test_cli_gen_refuses_out_of_range_arguments(tmp_path, capsys, args):
+    out = tmp_path / "x.cmat"
+    assert main(["gen", *args, "--out", str(out)]) == 2
+    assert not out.exists() and "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_wvn_refuses_epsilon_at_the_roundoff_floor(tmp_path, capsys):
     path = tmp_path / "huge.cmat"
     cmatio.write_cmat(path, generate.gen("skew-symmetric", 16, None, 5) * 1e150)
@@ -348,3 +372,60 @@ def test_cli_kernel_heavy_input(tmp_path):
     sw = str(tmp_path / "sw")
     assert main(["skew-wvn", mpath, "--epsilon", "1e-2", "--out-prefix", sw]) == 0
     assert main(["verify", mpath, "--decomp-prefix", sw, "--epsilon", "1e-2"]) == 0
+
+
+TOKENS = st.sampled_from(["0", "1", "-2.5", "1e-300", "3e200", "nan", "inf", "-inf", "1e400", ""])
+
+
+@st.composite
+def cmat_texts(draw):
+    """CMAT bytes around an n x n matrix, n = 1 ... 6: skew or not, with
+    nan/inf/overflowing tokens, a token or a line too many or too few, a
+    header that disagrees, and non-ASCII bytes."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_complex(rng, n, n)
+    if draw(st.booleans()):
+        m = m - m.T
+    rows = [[f"{z.real!r},{z.imag!r}" for z in row] for row in m]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = f"{draw(TOKENS)},{draw(TOKENS)}"
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][1:] if draw(st.booleans()) else rows[i] + ["0,0"]
+    head = f"CMAT v1 {n + draw(st.sampled_from([0, 0, 0, -1, 1]))} {n}"
+    lines = [head] + [" ".join(r) for r in rows][: n - draw(st.sampled_from([0, 0, 1]))]
+    data = bytearray(("\n".join(lines) + "\n").encode("ascii"))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        data.insert(draw(st.integers(0, len(data))), draw(st.integers(0x80, 0xFF)))
+    return bytes(data)
+
+
+COMMANDS = [["verify"], ["verify", "--epsilon", "0.1"], ["youla"], ["polar"],
+            ["wvn", "--epsilon", "0.1"], ["skew-wvn", "--epsilon", "0.1"]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cmat_texts(), st.sampled_from(COMMANDS))
+def test_cli_exits_0_1_or_2_on_any_cmat_text(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.cmat"
+        path.write_bytes(data)
+        args = [command[0], str(path), *command[1:]]
+        if command[0] != "verify":
+            args += ["--out-prefix", str(Path(tmp) / "o")]
+        assert main(args) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(generate.KINDS), st.integers(-3, 9),
+       st.none() | st.integers(-3, 10), st.integers(-2, 2) | st.integers(0, 2**40))
+def test_cli_gen_exits_0_or_2_on_any_arguments(kind, dim, rank, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "g.cmat"
+        args = ["gen", "--kind", kind, "--dim", str(dim), "--seed", str(seed), "--out", str(out)]
+        code = main(args + ([] if rank is None else ["--rank", str(rank)]))
+        assert code in (0, 2)
+        if code == 0:
+            assert cmatio.read_cmat(out).shape == (dim, dim)

@@ -2,6 +2,8 @@
 contract holds for youla, polar, wvn and skew-wvn, checked through the
 check registry; and a property test over drawn spectra and scales."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,10 @@ def near_degenerate(n, seed):
 
 def graded(n, seed):
     return from_spectrum(np.logspace(0.0, -12.0, n // 2), n, seed)
+
+
+def kernel_heavy(n, seed):
+    return generate.gen("skew-symmetric-rank", n, 2 * (n // 4), seed)
 
 
 FAMILIES = {"clustered": clustered, "near-degenerate": near_degenerate, "graded": graded}
@@ -108,3 +114,42 @@ def test_youla_and_polar_hold_on_drawn_spectra(spectrum, seed):
     assert np.array_equal(youla.u, base.u)
     assert np.array_equal(youla.r, base.r * 2.0**k)
     assert youla.kernel_dim == 2 * kernel_pairs
+
+
+def traced_peak(op, m):
+    """Peak memory traced while op(m) runs, in n x n complex arrays."""
+    tracemalloc.start()
+    try:
+        op(m)
+        return tracemalloc.get_traced_memory()[1] / m.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+WORKING_SET_OPS = {
+    "youla": youla_decompose,
+    "wvn": lambda m: wvn_decompose(AntilinearOperator(m), EPSILON),
+    "skew-wvn": lambda m: skew_symmetric_wvn(m, Conjugation.standard(m.shape[0]), EPSILON),
+}
+# (family, op, bound): Youla's eigh needs its input and its output W; K,
+# D and the basis are written in place of the per-cell blocks.  Clustered
+# and graded inputs keep larger per-cell complements and refactor big
+# blocks, so their bound is the peak before K, D and the basis were
+# preallocated.
+WORKING_SET = [
+    ("generic", "youla", 4.5),
+    ("generic", "wvn", 5.0),
+    ("generic", "skew-wvn", 6.5),
+    ("near-degenerate", "wvn", 5.0),
+    ("kernel-heavy", "wvn", 5.0),
+    ("clustered", "wvn", 9.1),
+    ("graded", "wvn", 9.1),
+]
+
+
+@pytest.mark.parametrize("family, op, bound", WORKING_SET)
+def test_working_set_stays_at_the_eigensolver_floor(family, op, bound):
+    build = {"generic": lambda n, seed: generate.gen("skew-symmetric", n, None, seed),
+             "kernel-heavy": kernel_heavy, **FAMILIES}[family]
+    m = build(256, 3)
+    assert traced_peak(WORKING_SET_OPS[op], m) <= bound

@@ -21,6 +21,32 @@ def test_orthonormalize_drops_duplicates():
     assert len(out) == 1
 
 
+def orthonormalize_loop(vectors, tol):
+    """Modified Gram-Schmidt, one vector at a time, with one re-pass."""
+    basis = []
+    for v in vectors:
+        for _ in range(2):
+            for b in basis:
+                v = v - b * np.vdot(b, v)
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            basis.append(v / nrm)
+    return basis
+
+
+def test_orthonormalize_matches_the_vector_loop():
+    # tau-fixed candidates w + conj(w), i (w - conj(w)) of a 5-dim span
+    # with a zero and a repeated direction: the same vectors are kept, in
+    # order, within roundoff
+    rng = np.random.default_rng(17)
+    span = np.linalg.qr(random_complex(rng, 9, 5))[0]
+    vecs = [x for w in span.T for x in (w + w.conj(), 1j * (w - w.conj()))]
+    vecs[3:3] = [np.zeros(9), 2.0 * vecs[0]]
+    out, ref = matcore.orthonormalize(vecs, 1e-8), orthonormalize_loop(vecs, 1e-8)
+    assert len(out) == len(ref) == 9
+    assert max(np.linalg.norm(x - y) for x, y in zip(out, ref)) <= 1e-13
+
+
 def gram_det_rank(vectors, tol=1e-8):
     """Brute-force rank: largest k with a k-subset of nonvanishing Gram det."""
     best = 0

@@ -11,7 +11,7 @@ from skewvn.antilinear import (
     tau_fixed_basis,
 )
 from skewvn.canonical import K2, YoulaResult, polar_factorize, youla_decompose
-from skewvn.errors import BudgetFailure, InvalidP, OddKernel, ZeroVector
+from skewvn.errors import BudgetFailure, InvalidP, OddKernel, SkewvnError, ZeroVector
 from skewvn.matcore import frob
 from skewvn.schatten import schatten_norm
 from skewvn.wvn import (
@@ -618,6 +618,17 @@ def test_wvn_refuses_epsilon_at_the_roundoff_floor(monkeypatch):
     # just above the floor the same input decomposes
     result = wvn_decompose(AntilinearOperator(m), 2.0 * floor)
     assert result.achieved_norm < 2.0 * floor
+
+
+def test_wvn_refuses_an_epsilon_that_is_not_positive(monkeypatch):
+    m = generate.gen("skew-symmetric", 8, None, 5)
+    attempts, _ = count_attempts(monkeypatch)
+    for epsilon in (float("nan"), 0.0, -1e-2):
+        with pytest.raises(SkewvnError) as excinfo:
+            wvn_decompose(AntilinearOperator(m), epsilon)
+        assert type(excinfo.value) is SkewvnError
+        assert str(excinfo.value) == f"epsilon must be positive, got {epsilon}"
+    assert attempts == []
 
 
 def test_wvn_budget_does_not_underflow_on_many_outer_steps():
