@@ -45,18 +45,20 @@ def orthonormalize(vectors, tol=DEFAULT_TOL):
 
     Block classical Gram-Schmidt, twice (CGS2): each candidate in turn loses
     its projection onto all accepted vectors at once.  Vectors whose residual
-    then has norm <= tol are dropped, so the output may be shorter (or empty).
+    then has norm <= tol are dropped, so the output may be shorter (or empty);
+    it never has more than n vectors, a basis of C^n.
     """
     vecs = [np.asarray(vec, dtype=complex).reshape(-1) for vec in vectors]
     if any(v.shape != vecs[0].shape for v in vecs):
         raise DimensionMismatch("vectors have mixed dimensions")
-    basis = np.empty((len(vecs), vecs[0].size if vecs else 0), dtype=complex)
+    dim = vecs[0].size if vecs else 0
+    basis = np.empty((min(len(vecs), dim), dim), dtype=complex)
     k = 0  # accepted vectors, the rows basis[:k]
     for v in vecs:
         for _ in range(2):
             v = v - np.conj(basis[:k] @ np.conj(v)) @ basis[:k]  # v - B B* v
         nrm = np.linalg.norm(v)
-        if nrm > tol:
+        if nrm > tol and k < len(basis):
             basis[k] = v / nrm
             k += 1
     return list(basis[:k])

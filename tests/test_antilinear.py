@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,22 @@ def test_tau_fixed_basis_subspace():
         v = r[:, j]
         assert np.linalg.norm(tau(v) - v) <= 1e-8
         assert np.linalg.norm(proj @ v - v) <= 1e-8
+
+
+def test_tau_fixed_basis_holds_no_buffer_for_dropped_candidates():
+    # 2n candidates for n fixed vectors: orthonormalize keeps at most n rows,
+    # so the traced peak stays at the projector and the candidates before
+    # and after projection (5 n x n; 6.3 with a 2n-row buffer)
+    n = 128
+    tau = random_conjugation(np.random.default_rng(18), n)
+    span = np.eye(n, dtype=complex)
+    tracemalloc.start()
+    try:
+        tau_fixed_basis(tau, span)
+        peak = tracemalloc.get_traced_memory()[1] / span.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5
 
 
 def test_compose_is_plain_matrix():

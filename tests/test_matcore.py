@@ -47,6 +47,14 @@ def test_orthonormalize_matches_the_vector_loop():
     assert max(np.linalg.norm(x - y) for x, y in zip(out, ref)) <= 1e-13
 
 
+def test_orthonormalize_returns_at_most_a_basis():
+    # with tol = 0 the roundoff left of a 4th vector in C^3 is not dropped
+    # by the norm test; a full basis is never extended
+    rng = np.random.default_rng(19)
+    out = matcore.orthonormalize([random_complex(rng, 3, 1).ravel() for _ in range(4)], 0.0)
+    assert len(out) == 3
+
+
 def gram_det_rank(vectors, tol=1e-8):
     """Brute-force rank: largest k with a k-subset of nonvanishing Gram det."""
     best = 0
