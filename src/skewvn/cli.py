@@ -14,7 +14,7 @@ import sys
 from . import canonical, checks, cmatio, generate, wvn as wvn_mod
 from .antilinear import AntilinearOperator, Conjugation
 from .checks import VerificationReport
-from .errors import OddKernel, SkewvnError
+from .errors import DimensionMismatch, OddKernel, SkewvnError
 from .matcore import DEFAULT_TOL
 
 
@@ -171,6 +171,10 @@ def _cmd_verify(args):
     decomp = None
     if args.decomp_prefix is not None:
         decomp = [cmatio.read_cmat(f"{args.decomp_prefix}.{x}.cmat") for x in "KDU"]
+        for x, mat in zip("KDU", decomp):
+            if mat.shape != m.shape:
+                raise DimensionMismatch(f"{args.decomp_prefix}.{x}.cmat has shape {mat.shape}, "
+                                        f"{args.matrix} has shape {m.shape}")
     report, code = run_verify(
         m, args.tol, args.rank_tol, args.epsilon, args.p, decomp
     )

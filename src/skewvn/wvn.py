@@ -5,13 +5,14 @@ cells, push a seed through the spectral projections to get the family
 (f_k, kappa f_k), project onto its span with P and cancel the coupling with
 K = -(I-P)AP - PA(I-P).  Iterating, each step within half of the budget
 left, gives A = K + D with ||K||_p < epsilon and D block skew-diagonal.
-``rank_projection_step`` forms one step densely.  ``wvn_decompose`` takes
-every step in a Youla basis, where A is the pair form B and kappa swaps each
-pair: the step is block-diagonal by cell, its ||K||_p and the value d_k of
-each captured pair are per-cell sums, and the rest of a kept cell is the
-complement of (f_k, kappa f_k) there, which the next step factors on its
-own.  Kept cells write (f_k, kappa f_k) and Y_k into two n x n arrays, which
-give K, D and the basis at the end; the kernel left closes the basis, d = 0.
+``rank_projection_step`` forms one step densely.  ``wvn_decompose`` factors
+A once, with Youla, and takes every step in that basis, where A is the pair
+form B and kappa swaps each pair: the step is block-diagonal by cell, its
+||K||_p and the value d_k of each captured pair are per-cell sums, and the
+rest of a kept cell, the complement of (f_k, kappa f_k) there, is again a
+pair basis after one real eigensolve of |A| on it.  Kept cells write
+(f_k, kappa f_k) and Y_k into two n x n arrays, which give K, D and the
+basis at the end; the kernel left closes the basis, d = 0.
 """
 
 import math
@@ -262,13 +263,16 @@ def _step_norm(lam, cut, p):
     return math.ldexp(_schatten(np.sqrt(var), p, 4.0), shift), np.ldexp(d, shift)
 
 
-def _cell_complement(v, lam, fg, b, tol, rank_tol):
+def _cell_complement(v, lam, fg, b):
     """Pair basis and values of the complement of fg = [f_k, kappa f_k] in a
     cell with the columns v and values lam.  If lam is one value up to
     roundoff (COUPLING_EPS * eps * b), B is that value times J there and the
     reflection H = I - 2 W W*, W = [w, kappa w], which commutes with kappa and
-    maps the seed's largest pair into span(fg), keeps the other pairs; else
-    one Youla form of the compression of B gives them."""
+    maps the seed's largest pair into span(fg), keeps the other pairs.  Else
+    the rotation [[a, -conj b], [b, conj a]] / rho of each pair (E, F), with
+    (a, b) the seed's coefficients there, commutes with kappa and lam and
+    takes the seed to E rho; the complement is E X, F X for the real X that
+    diagonalizes H^tr diag(lam) H, H spanning rho^perp (Golub 1973)."""
     if lam[0] - lam[-1] <= COUPLING_EPS * np.finfo(float).eps * b:
         phi, g = fg.T
         j = 2 * int(np.argmax(np.abs(phi[0::2]) ** 2 + np.abs(phi[1::2]) ** 2))
@@ -278,10 +282,18 @@ def _cell_complement(v, lam, fg, b, tol, rank_tol):
         w = np.column_stack([y, _swap(np.conj(y))]) / np.linalg.norm(y)
         rest = np.r_[0:j, j + 2 : lam.size]
         return v[:, rest] - 2.0 * (v @ w) @ w[rest].conj().T, lam[rest[0::2]]
-    q = np.linalg.qr(fg, mode="complete")[0][:, 2:]
-    c = q.conj().T @ (lam[:, None] * _swap(np.conj(q)))
-    vb, rb = _pair_basis(youla_decompose((c - c.T) / 2.0, tol, rank_tol))
-    return v @ (q @ vb), rb
+    rho = np.hypot(np.abs(fg[0::2, 0]), np.abs(fg[1::2, 0]))
+    al, be = fg[:, 0].reshape(-1, 2).T / np.where(rho > 0.0, rho, 1.0)
+    al += rho == 0.0  # the identity on a pair the seed misses
+    rot = np.empty((lam.size, v.shape[0]), dtype=complex)  # rows: rotated E, F
+    rot[0::2] = al[:, None] * v[:, 0::2].T + be[:, None] * v[:, 1::2].T
+    rot[1::2] = np.conj(al)[:, None] * v[:, 1::2].T - np.conj(be)[:, None] * v[:, 0::2].T
+    h = np.linalg.qr(rho[:, None], mode="complete")[0][:, 1:]
+    shift = matcore.pow2_exponent(lam)
+    mu, z = np.linalg.eigh(h.T @ (np.ldexp(lam[0::2], -shift)[:, None] * h))
+    # E X and F X at once: X^tr times the rows of rot in pairs, as reals
+    out = (z[:, ::-1].T @ h.T @ rot.reshape(rho.size, -1).view(float)).view(complex)
+    return out.reshape(-1, v.shape[0]).T, np.ldexp(np.maximum(mu[::-1], 0.0), shift)
 
 
 def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
@@ -356,9 +368,7 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
             u[:, used : used + 2], y[:, used : used + 2] = np.hsplit(v[:, lo:hi] @ x[lo:hi], 2)
             used += 2
             if hi - lo > 2:
-                vb, rb = _cell_complement(
-                    v[:, lo:hi], lam[lo:hi], x[lo:hi, :2], res.b, tol, rank_tol
-                )
+                vb, rb = _cell_complement(v[:, lo:hi], lam[lo:hi], x[lo:hi, :2], res.b)
                 v_parts.append(vb)
                 r_parts.append(rb)
         r = np.concatenate(r_parts)

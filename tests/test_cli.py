@@ -256,6 +256,24 @@ def test_cli_verify_decomposition(tmp_path):
                  "--epsilon", "1e-2"]) == 1
 
 
+def test_cli_verify_refuses_a_decomposition_of_another_shape(tmp_path, capsys):
+    mpath, prefix = str(tmp_path / "m.cmat"), str(tmp_path / "sw")
+    main(["gen", "--kind", "skew-symmetric", "--dim", "6", "--seed", "2", "--out", mpath])
+    assert main(["skew-wvn", mpath, "--epsilon", "1e-2", "--out-prefix", prefix]) == 0
+    small = str(tmp_path / "small.cmat")
+    main(["gen", "--kind", "skew-symmetric", "--dim", "4", "--seed", "2", "--out", small])
+    capsys.readouterr()
+    assert main(["verify", small, "--decomp-prefix", prefix, "--epsilon", "1e-2"]) == 2
+    err = capsys.readouterr().err
+    assert f"{prefix}.K.cmat has shape (6, 6)" in err and "(4, 4)" in err
+    assert "Traceback" not in err
+    # one file of another shape is enough
+    cmatio.write_cmat(f"{prefix}.U.cmat", np.eye(4))
+    assert main(["verify", mpath, "--decomp-prefix", prefix, "--epsilon", "1e-2"]) == 2
+    err = capsys.readouterr().err
+    assert f"{prefix}.U.cmat has shape (4, 4)" in err and "(6, 6)" in err
+
+
 def test_cli_input_errors(tmp_path):
     bad = tmp_path / "bad.cmat"
     bad.write_text("CMAT v2 2 2\n0,0 0,0\n0,0 0,0\n")

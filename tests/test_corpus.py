@@ -133,9 +133,9 @@ WORKING_SET_OPS = {
 }
 # (family, op, bound): Youla's eigh needs its input and its output W; K,
 # D and the basis are written in place of the per-cell blocks.  Clustered
-# and graded inputs keep larger per-cell complements and refactor big
-# blocks, so their bound is the peak before K, D and the basis were
-# preallocated.
+# inputs keep larger per-cell complements, so their bound is the peak
+# before K, D and the basis were preallocated.  A graded input's Youla form
+# holds one big coupled block; its cell complements add no more than that.
 WORKING_SET = [
     ("generic", "youla", 4.5),
     ("generic", "wvn", 5.0),
@@ -143,7 +143,8 @@ WORKING_SET = [
     ("near-degenerate", "wvn", 5.0),
     ("kernel-heavy", "wvn", 5.0),
     ("clustered", "wvn", 9.1),
-    ("graded", "wvn", 9.1),
+    ("graded", "wvn", 6.0),
+    ("graded", "skew-wvn", 7.0),
 ]
 
 

@@ -438,12 +438,20 @@ def test_block_skew_matrix():
 
 
 def test_wvn_scales_by_powers_of_two():
-    m = generate.gen("skew-symmetric", 32, None, 4)
-    base = wvn_decompose(AntilinearOperator(m), 1e-2)
-    for shift in (600, -600):
-        result = wvn_decompose(AntilinearOperator(m * 2.0**shift), 1e-2 * 2.0**shift)
-        assert np.array_equal(result.k.mat, base.k.mat * 2.0**shift)
-        assert np.array_equal(result.d_values, base.d_values * 2.0**shift)
+    # generic, graded (1 ... 1e-12) and near-degenerate (relative gap 1e-7)
+    u = generate.random_unitary(np.random.default_rng(6), 64)
+    near = np.random.default_rng(7).uniform(0.5, 2.0, 16)
+    spectra = [np.logspace(0.0, -12.0, 32), np.concatenate([near, near * (1.0 + 1e-7)])]
+    inputs = [generate.gen("skew-symmetric", 32, None, 4)]
+    inputs += [u @ block_skew_matrix(np.sort(r)[::-1], 64) @ u.T for r in spectra]
+    for m in inputs:
+        m = (m - m.T) / 2.0
+        base = wvn_decompose(AntilinearOperator(m), 1e-2)
+        for shift in (600, -600):
+            result = wvn_decompose(AntilinearOperator(m * 2.0**shift), 1e-2 * 2.0**shift)
+            assert np.array_equal(result.k.mat, base.k.mat * 2.0**shift)
+            assert np.array_equal(result.d_values, base.d_values * 2.0**shift)
+            assert np.array_equal(result.u, base.u)
 
 
 def test_kernel_split_injective_is_skew_symmetric_wvn():
@@ -753,8 +761,8 @@ def test_generic_wvn_factors_once_and_forms_no_dense_step(monkeypatch):
 
 
 def test_wvn_factors_once_per_outer_step(monkeypatch):
-    # A is factored once; a later step factors only the blocks that its
-    # kept cells leave, and none where a cell holds one value up to roundoff
+    # A is factored once; a later step updates the complement of each kept
+    # cell with one real eigensolve and factors no block again
     youla = count_calls(monkeypatch, "youla_decompose", lambda args: args[0].shape[0])
     attempts, _ = count_attempts(monkeypatch)
     resolutions = count_calls(monkeypatch, "spectral_resolution", lambda args: args[0].dim)
@@ -764,15 +772,22 @@ def test_wvn_factors_once_per_outer_step(monkeypatch):
     assert result.achieved_norm < 1e-2
     assert len(accepted_per_step(attempts)) > 1
     assert youla == [32] and resolutions == []
-    # ten distinct values: cells of several values leave blocks to factor
+    # ten distinct values: cells of several values leave complements
     del youla[:], attempts[:]
     m = u @ block_skew_matrix(np.linspace(2.0, 0.2, 16), 32) @ u.T
     result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 0.5)
     assert result.achieved_norm < 0.5
     assert len(accepted_per_step(attempts)) > 1
-    assert youla[0] == 32 and len(youla) > 1
-    assert all(0 < dim < 32 and dim % 2 == 0 for dim in youla[1:])
+    assert youla == [32]
     assert frob(m - result.k.mat - result.d.mat) <= 1e-10 * frob(m)
+    # graded values 1 ... 1e-12: most pairs share cell 0 for many steps
+    del youla[:], attempts[:]
+    u = generate.random_unitary(np.random.default_rng(5), 64)
+    m = u @ block_skew_matrix(np.logspace(0.0, -12.0, 32), 64) @ u.T
+    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-2)
+    assert result.achieved_norm < 1e-2
+    assert len(accepted_per_step(attempts)) > 1
+    assert youla == [64]
 
 
 def test_wvn_kernel_heavy_input():
@@ -799,3 +814,57 @@ def test_wvn_kernel_heavy_input():
         assert skew_wvn_residual(m, tau, skew) <= 1e-9 * scale
         assert skew.achieved_norm < 1e-2
         assert frob(skew.u.conj().T @ skew.u - np.eye(n)) <= 1e-10 * np.sqrt(n)
+
+
+def youla_cell_values(lam, fg):
+    """The complement's pair values from a QR of fg and a Youla form of the
+    compression of B to it, with no rank cut: the reference for
+    ``_cell_complement``."""
+    q = np.linalg.qr(fg, mode="complete")[0][:, 2:]
+    c = q.conj().T @ (lam[:, None] * wvn._swap(np.conj(q)))
+    return wvn._pair_basis(youla_decompose((c - c.T) / 2.0, rank_tol=0.0))[1]
+
+
+def cell_inputs():
+    """(pair values, seed) of cells whose values are not one up to roundoff:
+    graded, near-degenerate, repeated mixed with distinct, with kernel
+    pairs, and seeds with no mass on some pairs."""
+    rng = np.random.default_rng(11)
+    base = rng.uniform(0.5, 1.0, 6)
+    spectra = [
+        np.logspace(0.0, -12.0, 12),
+        np.sort(np.concatenate([base, base * (1.0 + 1e-7)]))[::-1],
+        np.array([1.0, 0.8, 0.8, 0.8, 0.5, 0.5, 0.3, 0.1]),
+        np.array([1.0, 0.7, 0.7, 0.2, 0.0, 0.0, 0.0]),
+        np.concatenate([np.logspace(0.0, -12.0, 6), np.zeros(2)]),
+    ]
+    for r in spectra:
+        for missing in ([], [0], [1, 3, r.size - 1]):
+            phi = random_complex(rng, 2 * r.size, 1)[:, 0]
+            phi.reshape(-1, 2)[missing] = 0.0  # no mass on these pairs
+            yield r, phi / np.linalg.norm(phi)
+
+
+def test_cell_complement_matches_a_youla_form_of_the_compression():
+    eps = np.finfo(float).eps
+    for r, phi in cell_inputs():
+        m = 2 * r.size
+        lam, b = np.repeat(r, 2), float(r[0])
+        v = generate.random_unitary(np.random.default_rng(m), m)
+        fg = np.column_stack([phi, wvn._swap(np.conj(phi))])
+        assert lam[0] - lam[-1] > wvn.COUPLING_EPS * eps * b  # not the reflection
+        out, mu = wvn._cell_complement(v, lam, fg, b)
+        reference = youla_cell_values(lam, fg)
+        assert out.shape == (m, m - 2) and mu.shape == (r.size - 1,)
+        assert np.all(mu[:-1] >= mu[1:]) and np.all(mu >= 0.0)
+        assert np.max(np.abs(mu - reference)) <= 1e3 * eps * b
+        # orthonormal, and orthogonal to f and kappa f
+        assert frob(out.conj().T @ out - np.eye(m - 2)) <= 1e3 * eps
+        assert frob(out.conj().T @ (v @ fg)) <= 1e3 * eps
+        # kappa = v J v^tr conj(.) maps column 2i+1 to column 2i
+        kappa = v @ block_skew_matrix(np.ones(r.size), m) @ v.T
+        assert frob(kappa @ np.conj(out[:, 1::2]) - out[:, 0::2]) <= 1e3 * eps
+        # the compression of A = v B v^tr is the pair form of mu
+        a = v @ block_skew_matrix(r, m) @ v.T
+        compressed = out.conj().T @ a @ np.conj(out)
+        assert frob(compressed - block_skew_matrix(mu, m - 2)) <= 1e3 * eps * b
