@@ -51,20 +51,25 @@ class YoulaResult:
         """B = direct sum of [[0, r_j], [-r_j, 0]] blocks padded with zeros."""
         return block_skew_matrix(self.r, self.dim)
 
-    def kappa(self):
-        """The anticonjugation e_j -> f_j, f_j -> -e_j; kernel columns are
-        paired in order.  Raises OddKernel when the numerical kernel is odd
-        dimensional, where no anticonjugation exists."""
+    def pair_basis(self):
+        """(V, r), M = V B V^tr with B = block_skew_matrix(r): U with each
+        kernel pair swapped, so that kappa maps column 2j+1 to column 2j,
+        and r padded with zeros.  Raises OddKernel when the numerical kernel
+        is odd dimensional, where no anticonjugation exists."""
         if self.kernel_dim % 2 != 0:
             raise OddKernel(
                 f"numerical kernel dimension {self.kernel_dim} is odd; "
                 "no anticonjugation factorization exists"
             )
-        u = self.u
-        paired = 2 * self.r.size
-        pairs = [(u[:, j + 1], u[:, j]) for j in range(0, paired, 2)]
-        pairs += [(u[:, j], u[:, j + 1]) for j in range(paired, self.dim, 2)]
-        return make_anticonjugation(pairs)
+        cols = np.arange(self.dim)
+        cols[2 * self.r.size :] = cols[2 * self.r.size :].reshape(-1, 2)[:, ::-1].ravel()
+        return self.u[:, cols], np.concatenate([self.r, np.zeros(self.kernel_dim // 2)])
+
+    def kappa(self):
+        """The anticonjugation e_j -> f_j, f_j -> -e_j of ``pair_basis``;
+        kernel columns are paired in order."""
+        v = self.pair_basis()[0]
+        return make_anticonjugation(list(zip(v[:, 1::2].T, v[:, 0::2].T)))
 
     def modulus(self):
         """|A| = U diag(r_1, r_1, ..., r_k, r_k, 0, ..., 0) U*."""

@@ -112,13 +112,14 @@ def spectral_measure(report, m, kappa, tol, res=None):
     report.add("g_additive", frob(total - g_full.mat), G_BOUND)
 
 
-def wvn(report, m, k, d, basis, d_values, epsilon, p):
+def wvn(report, m, k, d, u, d_values, epsilon, p):
     """A = K + D, ||K||_p < epsilon, D = sum_j d_j (f_j e_j^tr - e_j f_j^tr)
-    over the paired basis [(e_j, f_j)], and Weyl stability of the spectrum."""
+    over the paired basis in the columns e_1, f_1, e_2, ... of u, and Weyl
+    stability of the spectrum."""
     scale = frob(m)
     report.add("wvn_reconstruction", frob(m - k - d), 1e-10 * scale)
     report.add("wvn_norm_budget", schatten_norm(k, p), epsilon, strict=True)
-    e, f = (np.column_stack(x) for x in zip(*basis))
+    e, f = u[:, 0::2], u[:, 1::2]
     block = (f * d_values) @ e.T - (e * d_values) @ f.T
     report.add("wvn_block_residual", frob(d - block), 1e-9 * scale)
     shift = np.abs(singular_values(m) - singular_values(d))

@@ -57,7 +57,7 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
 
     if epsilon is not None:
         result = wvn_mod.wvn_decompose(a, epsilon, p, tol, rank_tol)
-        checks.wvn(report, m, result.k.mat, result.d.mat, result.basis,
+        checks.wvn(report, m, result.k.mat, result.d.mat, result.u,
                    result.d_values, epsilon, p)
 
     return report, report.exit_code
@@ -149,7 +149,7 @@ def _cmd_wvn(args):
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
     _write_values(args.out_prefix, result.d_values)
     return _finish(args.out_prefix, checks.wvn, m, result.k.mat, result.d.mat,
-                   result.basis, result.d_values, args.epsilon, args.p)
+                   result.u, result.d_values, args.epsilon, args.p)
 
 
 def _cmd_skew_wvn(args):

@@ -35,11 +35,15 @@ def schatten_norm(a, p):
         return 0.0
     if math.isinf(p):
         return float(s[0])
-    smax = float(s[0])
+    return _schatten(s, p)
+
+
+def _schatten(s, p, times=1.0):
+    """(times * sum s^p)^(1/p), on s / max(s) so that no power overflows."""
+    smax = float(np.max(s, initial=0.0))
     if smax == 0.0:
         return 0.0
-    # factor out the largest singular value to avoid overflow for large p
-    return smax * float(np.sum((s / smax) ** p)) ** (1.0 / p)
+    return smax * float(times * np.sum((s / smax) ** p)) ** (1.0 / p)
 
 
 def conjugate_exponent(p):

@@ -12,7 +12,9 @@ form B and kappa swaps each pair: the step is block-diagonal by cell, its
 rest of a kept cell, the complement of (f_k, kappa f_k) there, is again a
 pair basis after one real eigensolve of |A| on it.  Kept cells write
 (f_k, kappa f_k) and Y_k into two n x n arrays, which give K, D and the
-basis at the end; the kernel left closes the basis, d = 0.
+basis at the end; the kernel left closes the basis, d = 0.  The linear
+corollaries run the same loop on T in a tau-fixed basis: ``kernel_split_wvn``
+reads N(T) off the same Youla form and leaves it unpaired, last in U.
 """
 
 import math
@@ -23,7 +25,6 @@ import numpy as np
 from . import matcore
 from .antilinear import (
     AntilinearOperator,
-    Conjugation,
     is_skew_self_adjoint,
     is_tau_skew_symmetric,
     tau_fixed_basis,
@@ -35,11 +36,11 @@ from .errors import (
     KernelMismatch,
     NotSkewSelfAdjoint,
     NotSkewSymmetric,
-    OddKernel,
     SkewvnError,
     ZeroVector,
 )
 from .matcore import DEFAULT_TOL, frob
+from .schatten import _schatten
 
 CLUSTER_TOL = 1e-8
 SEED_TOL = 1e-10
@@ -216,14 +217,6 @@ def _check_p(p):
         raise InvalidP(f"the decomposition needs 1 < p < inf, got {p}")
 
 
-def _schatten(s, p, times):
-    """(times * sum s^p)^(1/p), on s / max(s) so that no power overflows."""
-    smax = float(np.max(s, initial=0.0))
-    if smax == 0.0:
-        return 0.0
-    return smax * float(times * np.sum((s / smax) ** p)) ** (1.0 / p)
-
-
 def _swap(x):
     """J x with J = diag([[0, 1], [-1, 0]], ...): the pair form B with r = 1,
     and kappa(x) = J conj(x) in a pair basis."""
@@ -231,20 +224,6 @@ def _swap(x):
     out[0::2] = x[1::2]
     out[1::2] = -x[0::2]
     return out
-
-
-def _pair_basis(youla):
-    """(V, r), A = V B V^tr with B = block_skew_matrix(r): U with each kernel
-    pair swapped, so that kappa = ``YoulaResult.kappa`` maps column 2j+1 to
-    column 2j, and r padded with zeros.  Raises OddKernel for an odd kernel."""
-    if youla.kernel_dim % 2 != 0:
-        raise OddKernel(
-            f"numerical kernel dimension {youla.kernel_dim} is odd; "
-            "no anticonjugation factorization exists"
-        )
-    cols = np.arange(youla.dim)
-    cols[2 * youla.r.size :] = cols[2 * youla.r.size :].reshape(-1, 2)[:, ::-1].ravel()
-    return youla.u[:, cols], np.concatenate([youla.r, np.zeros(youla.kernel_dim // 2)])
 
 
 def _step_norm(lam, cut, p):
@@ -310,13 +289,42 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     finer cells cannot change a step that misses its budget.
     """
     _check_p(p)
+    k, u, d_values, spent = _wvn(a, epsilon, p, tol, rank_tol)
+    return WvnResult(k=AntilinearOperator(k), d=AntilinearOperator(a.mat - k), u=u,
+                     d_values=d_values, p=p, epsilon=epsilon, achieved_norm=spent)
+
+
+def _wvn(a, epsilon, p, tol, rank_tol, split_kernel=False):
+    """(K, U, d, sum of the step norms) of ``wvn_decompose``, from one Youla
+    form of A, dropped before the loop.  With ``split_kernel`` its kernel
+    columns Z close U unpaired, with K and d zero there, once N(A) = conj(Z)
+    is N(A*) = Z: ||P_N(A) - P_N(A*)||_F = sqrt(2) ||conj(Z) - Z Z* conj(Z)||_F
+    at most max(tol, 1e-8), else KernelMismatch.  Without, an odd kernel
+    raises OddKernel.
+    """
     if not epsilon > 0:
         raise SkewvnError(f"epsilon must be positive, got {epsilon}")
     if not is_skew_self_adjoint(a, tol):
         raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
     n = a.dim
-    # v: pair basis of the unexplored complement, r: its pair values, descending
-    v, r = _pair_basis(youla_decompose(a.mat, tol, rank_tol))
+    youla = youla_decompose(a.mat, tol, rank_tol)
+    # v: pair basis of the unexplored complement, r: its pair values,
+    # descending; u's columns from ``paired`` on hold the unpaired kernel
+    if split_kernel:
+        paired = 2 * youla.r.size
+        v, r, z = youla.u, youla.r, youla.u[:, paired:]
+        mismatch = math.sqrt(2.0) * frob(np.conj(z) - z @ np.conj(z.T @ z))  # Z* conj(Z)
+        del z  # a view of U, which the loop must not hold
+        if mismatch > max(tol, 1e-8):
+            raise KernelMismatch(f"numerical kernels of T and T* differ: "
+                                 f"||P_N(T) - P_N(T*)||_F = {mismatch:.3e}")
+    else:
+        paired = n
+        v, r = youla.pair_basis()
+    del youla  # before u and y: when v is a copy, they can take the memory of U
+    # kept cell i: f_k, kappa f_k in columns 2i, 2i+1 of u, and Y_k in those of y
+    u, y = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    u[:, paired:], v = v[:, paired:], v[:, :paired]
     norm_a = _schatten(r, p, 2.0)
     floor = ROUNDOFF_FLOOR * np.finfo(float).eps * norm_a
     if epsilon <= floor:
@@ -325,8 +333,6 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
             f"= {ROUNDOFF_FLOOR:g} eps ||A||_p with ||A||_p = {norm_a:.3e}"
         )
     kernel_floor = rank_tol * float(r.max(initial=0.0))
-    # kept cell i: f_k, kappa f_k in columns 2i, 2i+1 of u, and Y_k in those of y
-    u, y = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
     used, d_values = 0, []
     spent = 0.0  # sum of the accepted step norms
     step = 0
@@ -381,16 +387,9 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     del y
     k_total -= k_total.T
     # the kernel left over pairs column 2j+1 with column 2j, d = 0
-    u[:, used::2], u[:, used + 1 :: 2] = v[:, 1::2], v[:, 0::2]
-    return WvnResult(
-        d=AntilinearOperator(a.mat + k_total),  # before k_total is negated in place
-        k=AntilinearOperator(np.negative(k_total, out=k_total)),
-        u=u,
-        d_values=np.concatenate(d_values + [np.zeros(v.shape[1] // 2)]),
-        p=p,
-        epsilon=epsilon,
-        achieved_norm=spent,
-    )
+    u[:, used:paired:2], u[:, used + 1 : paired : 2] = v[:, 1::2], v[:, 0::2]
+    d_values = np.concatenate(d_values + [np.zeros(v.shape[1] // 2)])
+    return np.negative(k_total, out=k_total), u, d_values, spent
 
 
 @dataclass(frozen=True)
@@ -409,8 +408,25 @@ def skew_symmetric_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT
     standard basis.  For the standard conjugation the identity uses the
     plain transpose; for a general tau the transpose is taken in a
     tau-fixed basis, which amounts to T = K + U D U^T conj(C) with C the
-    matrix of tau.
+    matrix of tau.  Raises OddKernel for an odd numerical kernel.
     """
+    return _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel=False)
+
+
+def kernel_split_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
+    """Kernel-splitting variant: works for any kernel dimension when
+    N(T) = N(T*).
+
+    The same decomposition as ``skew_symmetric_wvn``, from the same Youla
+    form, except that its numerical kernel is left unpaired: the last
+    columns of U are an orthonormal basis of N(T), where D and K vanish,
+    and d covers the range pairs only.  Raises KernelMismatch when the
+    numerical kernels of T and T* differ.
+    """
+    return _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel=True)
+
+
+def _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel):
     _check_p(p)
     t = matcore.require_square(t)
     if not is_tau_skew_symmetric(t, tau, tol):
@@ -418,69 +434,20 @@ def skew_symmetric_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT
     # the standard basis is tau-fixed for the standard conjugation
     r_basis = None if tau.is_standard() else tau_fixed_basis(tau)
     t_fixed = t if r_basis is None else r_basis.conj().T @ t @ r_basis  # plain skew-symmetric
-    res = wvn_decompose(AntilinearOperator(t_fixed), epsilon, p, tol, rank_tol)
-    # column order (f, e) makes U D U^tr reproduce the antilinear block form
-    k, u = res.k.mat, res.u[:, np.arange(t.shape[0]) ^ 1]
+    k, u, d_values, spent = _wvn(AntilinearOperator(t_fixed), epsilon, p, tol, rank_tol,
+                                 split_kernel)
+    # column order (f, e) makes U D U^tr reproduce the antilinear block form;
+    # unpaired kernel columns stay last
+    cols = np.arange(t.shape[0])
+    cols[: 2 * d_values.size] ^= 1
+    u = u[:, cols]
     if r_basis is not None:
         k, u = r_basis @ k @ r_basis.conj().T, r_basis @ u
-    d = block_skew_matrix(res.d_values, t.shape[0])
-    return SkewWvnResult(k=k, d=d, u=u, d_values=res.d_values, achieved_norm=res.achieved_norm)
+    d = block_skew_matrix(d_values, t.shape[0])
+    return SkewWvnResult(k=k, d=d, u=u, d_values=d_values, achieved_norm=spent)
 
 
 def skew_wvn_residual(t, tau, result):
     """Frobenius residual of T - K - U D U^tr (tau-basis transpose)."""
     recon = result.k + result.u @ result.d @ result.u.T @ np.conj(tau.mat)
     return frob(t - recon)
-
-
-def kernel_split_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
-    """Kernel-splitting variant: works for any kernel dimension when
-    N(T) = N(T*).
-
-    Splits H into the numerical kernel and its complement, runs the
-    decomposition on the (injective) compression, and re-embeds with the
-    identity on the kernel block.
-    """
-    _check_p(p)
-    t = matcore.require_square(t)
-    if not is_tau_skew_symmetric(t, tau, tol):
-        raise NotSkewSymmetric("matrix is not tau-skew-symmetric within tolerance")
-    n = t.shape[0]
-    u_sv, s, vh = np.linalg.svd(t)
-    s_max = float(s[0]) if s.size else 0.0
-    small = s <= rank_tol * max(s_max, 1e-300)
-    ker_t = vh.conj().T[:, small]  # right null space
-    ker_tstar = u_sv[:, small]  # null space of T*
-    p_t = ker_t @ ker_t.conj().T
-    p_tstar = ker_tstar @ ker_tstar.conj().T
-    if frob(p_t - p_tstar) > max(tol, 1e-8):
-        raise KernelMismatch("numerical kernels of T and T* differ")
-    # tau must reduce N(T): tau of every kernel vector stays in the kernel
-    tau_leak = frob((np.eye(n) - p_t) @ tau.mat @ np.conj(p_t))
-    if tau_leak > max(tol, 1e-8):
-        raise SkewvnError("conjugation does not reduce the kernel of T")
-
-    if not small.any():
-        # T is injective, so its compression to N(T)^perp is T itself
-        return skew_symmetric_wvn(t, tau, epsilon, p, tol, rank_tol)
-    if ker_t.shape[1] == n:
-        return SkewWvnResult(
-            k=np.zeros((n, n), dtype=complex),
-            d=np.zeros((n, n), dtype=complex),
-            u=np.eye(n, dtype=complex),
-            d_values=np.zeros(0),
-            achieved_norm=0.0,
-        )
-
-    b_ker = tau_fixed_basis(tau, ker_t)
-    perp = u_sv[:, ~small]  # range of T = N(T)^perp here
-    b_perp = tau_fixed_basis(tau, perp)
-    t2 = b_perp.conj().T @ t @ b_perp
-    tau2 = Conjugation.standard(t2.shape[0])
-    sub = skew_symmetric_wvn(t2, tau2, epsilon, p, tol, rank_tol)
-    k = b_perp @ sub.k @ b_perp.conj().T
-    d = block_skew_matrix(sub.d_values, n)
-    u = np.column_stack([b_perp @ sub.u, b_ker])
-    return SkewWvnResult(
-        k=k, d=d, u=u, d_values=sub.d_values, achieved_norm=sub.achieved_norm
-    )

@@ -145,7 +145,7 @@ def test_acceptance_4_wvn_decomposition():
                 elapsed = time.perf_counter() - start
                 ok &= elapsed < 5.0
                 report = VerificationReport()
-                checks.wvn(report, a.mat, result.k.mat, result.d.mat, result.basis,
+                checks.wvn(report, a.mat, result.k.mat, result.d.mat, result.u,
                            result.d_values, epsilon, p)
                 ok &= report.all_pass
     finish("acceptance 4 wvn decomposition", ok)

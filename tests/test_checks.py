@@ -71,19 +71,19 @@ def test_spectral_measure_lines_fail_on_a_wrong_kappa():
 
 
 def wvn_args(result, epsilon=EPSILON):
-    return (M, result.k.mat, result.d.mat, result.basis, result.d_values, epsilon, 2.0)
+    return (M, result.k.mat, result.d.mat, result.u, result.d_values, epsilon, 2.0)
 
 
 def test_wvn_lines_fail_on_their_faults():
     result = wvn_decompose(AntilinearOperator(M), EPSILON)
-    m, k, d, basis, d_values, epsilon, p = wvn_args(result)
-    assert failing(checks.wvn, m, k, d, basis, d_values, epsilon, p) == set()
+    m, k, d, u, d_values, epsilon, p = wvn_args(result)
+    assert failing(checks.wvn, m, k, d, u, d_values, epsilon, p) == set()
     # an off-block entry of D breaks A = K + D, the block form and the spectrum
-    assert failing(checks.wvn, m, k, bump(d), basis, d_values, epsilon, p) == {
+    assert failing(checks.wvn, m, k, bump(d), u, d_values, epsilon, p) == {
         "wvn_reconstruction", "wvn_block_residual", "wvn_weyl_stability"}
     wrong = d_values.copy()
     wrong[0] += 1e-6
-    assert failing(checks.wvn, m, k, d, basis, wrong, epsilon, p) == {"wvn_block_residual"}
+    assert failing(checks.wvn, m, k, d, u, wrong, epsilon, p) == {"wvn_block_residual"}
 
 
 def skew_wvn():

@@ -12,7 +12,7 @@ from skewvn import checks, generate
 from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn.canonical import block_skew_matrix, polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
-from skewvn.wvn import skew_symmetric_wvn, wvn_decompose
+from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, wvn_decompose
 
 TOL = 1e-10
 EPSILON = 1e-2
@@ -66,7 +66,7 @@ def test_corpus_wvn_and_skew_wvn(family, n):
     m = FAMILIES[family](n, n)
     report = VerificationReport()
     result = wvn_decompose(AntilinearOperator(m), EPSILON)
-    checks.wvn(report, m, result.k.mat, result.d.mat, result.basis, result.d_values,
+    checks.wvn(report, m, result.k.mat, result.d.mat, result.u, result.d_values,
                EPSILON, 2.0)
     skew = skew_symmetric_wvn(m, Conjugation.standard(n), EPSILON)
     checks.decomposition(report, "skew_wvn", m, skew.k, skew.d, skew.u, TOL, EPSILON)
@@ -130,12 +130,15 @@ WORKING_SET_OPS = {
     "youla": youla_decompose,
     "wvn": lambda m: wvn_decompose(AntilinearOperator(m), EPSILON),
     "skew-wvn": lambda m: skew_symmetric_wvn(m, Conjugation.standard(m.shape[0]), EPSILON),
+    "kernel-split": lambda m: kernel_split_wvn(m, Conjugation.standard(m.shape[0]), EPSILON),
 }
 # (family, op, bound): Youla's eigh needs its input and its output W; K,
 # D and the basis are written in place of the per-cell blocks.  Clustered
 # inputs keep larger per-cell complements, so their bound is the peak
 # before K, D and the basis were preallocated.  A graded input's Youla form
 # holds one big coupled block; its cell complements add no more than that.
+# kernel-split reads its kernel off the same Youla form, so it stays at the
+# skew-wvn bound; the odd-kernel input has n = 257 and rank 128.
 WORKING_SET = [
     ("generic", "youla", 4.5),
     ("generic", "wvn", 5.0),
@@ -145,12 +148,17 @@ WORKING_SET = [
     ("clustered", "wvn", 9.1),
     ("graded", "wvn", 6.0),
     ("graded", "skew-wvn", 7.0),
+    ("generic", "kernel-split", 6.5),
+    ("odd-kernel", "kernel-split", 6.5),
 ]
 
 
 @pytest.mark.parametrize("family, op, bound", WORKING_SET)
 def test_working_set_stays_at_the_eigensolver_floor(family, op, bound):
     build = {"generic": lambda n, seed: generate.gen("skew-symmetric", n, None, seed),
-             "kernel-heavy": kernel_heavy, **FAMILIES}[family]
+             "kernel-heavy": kernel_heavy,
+             "odd-kernel": lambda n, seed: generate.gen(
+                 "tau-skew-symmetric-with-kernel", n + 1, n // 2, seed),
+             **FAMILIES}[family]
     m = build(256, 3)
     assert traced_peak(WORKING_SET_OPS[op], m) <= bound

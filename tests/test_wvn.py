@@ -3,15 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from skewvn import generate, wvn
+from skewvn import checks, generate, wvn
 from skewvn.antilinear import (
     AntilinearOperator,
     Conjugation,
     make_anticonjugation,
-    tau_fixed_basis,
 )
 from skewvn.canonical import K2, YoulaResult, polar_factorize, youla_decompose
-from skewvn.errors import BudgetFailure, InvalidP, OddKernel, SkewvnError, ZeroVector
+from skewvn.checks import VerificationReport
+from skewvn.errors import (
+    BudgetFailure,
+    InvalidP,
+    KernelMismatch,
+    OddKernel,
+    SkewvnError,
+    ZeroVector,
+)
 from skewvn.matcore import frob
 from skewvn.schatten import schatten_norm
 from skewvn.wvn import (
@@ -424,9 +431,34 @@ def test_kernel_split_kernel_mismatch():
     e, f = q[:, 0], q[:, 1]
     t = np.outer(f, e) - np.outer(e, f)
     tau = Conjugation.standard(4)
-    with pytest.raises(Exception) as excinfo:
+    with pytest.raises(KernelMismatch):
         kernel_split_wvn(t, tau, 0.1)
-    assert excinfo.type.__module__.startswith("skewvn")
+
+
+def test_kernel_split_factors_once(monkeypatch):
+    # one Youla form per call, and no SVD: the kernel is read off it
+    calls = {"youla": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(wvn, "youla_decompose", counted("youla", wvn.youla_decompose))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    padded = np.zeros((14, 14), dtype=complex)
+    padded[:10, :10] = random_skew(np.random.default_rng(52), 10)
+    inputs = [
+        generate.gen("skew-symmetric", 24, None, 8),
+        padded,  # even kernel
+        generate.gen("tau-skew-symmetric-with-kernel", 21, 16, 6),  # odd kernel
+    ]
+    for t in inputs:
+        calls.update(youla=0, svd=0)
+        kernel_split_wvn(t, Conjugation.standard(t.shape[0]), 1e-2)
+        assert calls == {"youla": 1, "svd": 0}
 
 
 def test_block_skew_matrix():
@@ -464,22 +496,34 @@ def test_kernel_split_injective_is_skew_symmetric_wvn():
     assert split.achieved_norm == direct.achieved_norm
 
 
-def test_kernel_split_odd_kernel_compresses_to_the_range():
-    # the kernel path: tau-fixed bases of N(T)^perp and N(T), and the
-    # decomposition of the compression of T to N(T)^perp
-    t = generate.gen("tau-skew-symmetric-with-kernel", 21, 16, 6)
-    tau = Conjugation.standard(21)
+def check_kernel_split_contract(t, tau):
+    """kernel_split_wvn on a rank-16 input of dimension 21: the decomposition
+    lines pass for the antilinear form T o tau, whose matrix is T C, and the
+    last five columns of U are N(T), where K and D vanish."""
     result = kernel_split_wvn(t, tau, 1e-2)
-    u_sv, s, vh = np.linalg.svd(t)
-    small = s <= 1e-10 * s[0]
-    assert np.count_nonzero(small) == 5
-    b_perp = tau_fixed_basis(tau, u_sv[:, ~small])
-    b_ker = tau_fixed_basis(tau, vh.conj().T[:, small])
-    sub = skew_symmetric_wvn(b_perp.conj().T @ t @ b_perp, Conjugation.standard(16), 1e-2)
-    assert np.array_equal(result.k, b_perp @ sub.k @ b_perp.conj().T)
-    assert np.array_equal(result.u, np.column_stack([b_perp @ sub.u, b_ker]))
-    assert np.array_equal(result.d_values, sub.d_values)
-    assert np.array_equal(result.d, block_skew_matrix(sub.d_values, 21))
+    report = VerificationReport()
+    c = tau.mat
+    checks.decomposition(report, "kernel_split", t @ c, result.k @ c, result.d, result.u,
+                         1e-10, 1e-2)
+    assert report.all_pass, report.render()
+    assert 2 * result.d_values.size == 16
+    u_ker = result.u[:, 16:]
+    assert frob(t @ u_ker) <= 1e-12 * frob(t)
+    assert frob(result.k @ u_ker) <= 1e-12 * frob(t)
+    assert not result.d[:, 16:].any() and not result.d[16:, :].any()
+
+
+def test_kernel_split_odd_kernel_leaves_the_kernel_unpaired():
+    t = generate.gen("tau-skew-symmetric-with-kernel", 21, 16, 6)
+    check_kernel_split_contract(t, Conjugation.standard(21))
+
+
+def test_kernel_split_odd_kernel_under_a_general_tau():
+    # T = W M W* is tau-skew-symmetric for tau = W W^tr, whose fixed vectors
+    # are the columns of W, and N(T) = W N(M) = N(T*)
+    w = generate.random_unitary(np.random.default_rng(53), 21)
+    m = generate.gen("tau-skew-symmetric-with-kernel", 21, 16, 6)
+    check_kernel_split_contract(w @ m @ w.conj().T, Conjugation(w @ w.T))
 
 
 def dense_rank_projection_step(a, kappa, f, n, res):
@@ -673,7 +717,7 @@ def test_step_norm_estimate_matches_dense_norm():
     for m in estimate_inputs():
         a = AntilinearOperator(m)
         youla = youla_decompose(m)
-        v, r = wvn._pair_basis(youla)
+        v, r = youla.pair_basis()
         lam = np.repeat(r, 2)
         res = wvn._resolve(v, lam)
         f = np.eye(a.dim)[:, 0]
@@ -822,7 +866,7 @@ def youla_cell_values(lam, fg):
     ``_cell_complement``."""
     q = np.linalg.qr(fg, mode="complete")[0][:, 2:]
     c = q.conj().T @ (lam[:, None] * wvn._swap(np.conj(q)))
-    return wvn._pair_basis(youla_decompose((c - c.T) / 2.0, rank_tol=0.0))[1]
+    return youla_decompose((c - c.T) / 2.0, rank_tol=0.0).pair_basis()[1]
 
 
 def cell_inputs():
