@@ -8,15 +8,11 @@ from .antilinear import (
     Anticonjugation,
     AntilinearOperator,
     Conjugation,
-    antilinear_from_linear,
     is_skew_self_adjoint,
     is_tau_skew_symmetric,
-    linear_from_antilinear,
     make_anticonjugation,
-    modulus,
     tau_fixed_basis,
     tau_transpose,
-    transpose_check,
 )
 from .canonical import (
     PolarResult,
@@ -42,13 +38,7 @@ from .errors import (
     ZeroVector,
 )
 from .generate import gen
-from .matcore import orthonormalize
-from .schatten import (
-    conjugate_exponent,
-    numerical_rank,
-    schatten_norm,
-    singular_values,
-)
+from .schatten import schatten_norm, singular_values
 from .wvn import (
     SkewWvnResult,
     SpectralResolution,

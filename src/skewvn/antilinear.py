@@ -3,10 +3,11 @@
 An antilinear operator is stored by the matrix of its composition with
 entrywise conjugation: ``A(x) = mat @ conj(x)``.  With this convention the
 antilinear adjoint is exactly the transpose, and skew-self-adjointness is
-exactly complex skew-symmetry of ``mat``.  The modulus |A| = (A# A)^(1/2)
-of any A is read off one SVD of ``mat^tr``; A# A is never square-rooted.
-For a skew-self-adjoint A, ``canonical.youla_decompose`` gives |A| together
-with the anticonjugation of its polar factorization.
+exactly complex skew-symmetry of ``mat``.  For a skew-self-adjoint A,
+``canonical.youla_decompose`` gives the modulus |A| = (A# A)^(1/2) together
+with the anticonjugation of its polar factorization.  A linear T and a
+conjugation tau give the antilinear T o tau, with the matrix T C; the
+transpose of T in a tau-fixed basis is the matrix of tau o T* o tau.
 """
 
 from dataclasses import dataclass
@@ -123,17 +124,6 @@ def is_skew_self_adjoint(a, tol=DEFAULT_TOL):
     return frob(m + m.T) <= tol * (1.0 + frob(m))
 
 
-def modulus(a):
-    """|A|, the positive square root of A# A (a linear operator).
-
-    A# A = mat^tr conj(mat) is the Gram matrix of mat^tr, so |A| is
-    V diag(s) V* with s and V the singular values and left singular vectors
-    of mat^tr.
-    """
-    v, s, _ = np.linalg.svd(a.mat.T)
-    return (v * s) @ v.conj().T
-
-
 def make_anticonjugation(pairs):
     """Anticonjugation sending e_j -> f_j and f_j -> -e_j.
 
@@ -162,21 +152,6 @@ def make_anticonjugation(pairs):
     return Anticonjugation(fe - fe.T)
 
 
-def antilinear_from_linear(t, tau):
-    """A = T o tau, an antilinear operator with matrix T @ C."""
-    t = matcore.require_square(t)
-    if t.shape[0] != tau.dim:
-        raise DimensionMismatch("matrix and conjugation dimensions differ")
-    return AntilinearOperator(t @ tau.mat)
-
-
-def linear_from_antilinear(a, tau):
-    """Inverse of antilinear_from_linear: T = A o tau, matrix mat @ conj(C)."""
-    if a.dim != tau.dim:
-        raise DimensionMismatch("operator and conjugation dimensions differ")
-    return a.mat @ np.conj(tau.mat)
-
-
 def tau_transpose(t, tau):
     """Matrix of tau o T* o tau; equals the plain transpose for standard tau."""
     t = matcore.require_square(t)
@@ -186,48 +161,25 @@ def tau_transpose(t, tau):
     return c @ t.T @ np.conj(c)
 
 
-def transpose_check(t, tau):
-    """Frobenius residual of T^tr against the matrix of tau o T* o tau."""
-    t = matcore.require_square(t)
-    return frob(t.T - tau_transpose(t, tau))
-
-
 def is_tau_skew_symmetric(t, tau, tol=DEFAULT_TOL):
     t = matcore.require_square(t)
     return frob(tau_transpose(t, tau) + t) <= tol * (1.0 + frob(t))
 
 
-def tau_fixed_basis(tau, span=None, tol=1e-8):
-    """Orthonormal basis of tau-fixed vectors for a tau-invariant subspace.
+def tau_fixed_basis(tau):
+    """Orthonormal basis of C^n, as the columns of an n x n array, whose
+    every column v satisfies tau(v) = v.
 
-    ``span`` is an n x m array with orthonormal columns (defaults to the
-    whole space).  Every returned column v satisfies tau(v) = v; fixed
-    vectors have real mutual inner products, so Gram-Schmidt keeps them
-    fixed.  Returns an n x m array.
+    With the matrix of tau written C = X + iY, X and Y real symmetric,
+    tau(a + ib) = a + ib says exactly that (a, b) is in the +1 eigenspace
+    of the real symmetric involution L = [[X, Y], [Y, -X]], which has
+    dimension n.  Fixed vectors have real mutual inner products, so the
+    real orthonormal eigenvectors of L are complex orthonormal (Garcia &
+    Putinar 2006, C-real bases).
     """
-    c = tau.mat
     n = tau.dim
-    if span is None:
-        if tau.is_standard():
-            return np.eye(n)
-        span = np.eye(n)
-    span = matcore.as_matrix(span)
-    m = span.shape[1]
-    if m == 0:
-        return np.zeros((n, 0), dtype=complex)
-    proj = span @ span.conj().T
-    candidates = []
-    for j in range(m):
-        w = span[:, j]
-        cw = c @ np.conj(w)
-        candidates.append(w + cw)
-        candidates.append(1j * (w - cw))
-    # keep candidates inside the subspace (relevant when invariance is only
-    # approximate) before orthonormalizing
-    candidates = [proj @ v for v in candidates]
-    basis = matcore.orthonormalize(candidates, tol=tol)
-    if len(basis) != m:
-        raise SkewvnError(
-            f"could not build a tau-fixed basis ({len(basis)} of {m} vectors)"
-        )
-    return np.column_stack(basis)
+    if tau.is_standard():
+        return np.eye(n)
+    c = (tau.mat + tau.mat.T) / 2.0
+    z = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))[1][:, n:]
+    return z[:n] + 1j * z[n:]

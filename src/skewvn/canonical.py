@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .antilinear import Anticonjugation, is_skew_self_adjoint, make_anticonjugation
+from .antilinear import Anticonjugation, is_skew_self_adjoint
 from .errors import NotSkewSelfAdjoint, NotSkewSymmetric, OddKernel
 from .matcore import DEFAULT_TOL, frob
 
@@ -66,10 +66,13 @@ class YoulaResult:
         return self.u[:, cols], np.concatenate([self.r, np.zeros(self.kernel_dim // 2)])
 
     def kappa(self):
-        """The anticonjugation e_j -> f_j, f_j -> -e_j of ``pair_basis``;
-        kernel columns are paired in order."""
+        """The anticonjugation e_j -> f_j, f_j -> -e_j of ``pair_basis``,
+        F E^tr - E F^tr with e_j, f_j in columns 2j+1, 2j; kernel columns are
+        paired in order."""
         v = self.pair_basis()[0]
-        return make_anticonjugation(list(zip(v[:, 1::2].T, v[:, 0::2].T)))
+        fe = v[:, 0::2] @ v[:, 1::2].T
+        del v  # not held through the checks of Anticonjugation
+        return Anticonjugation(fe - fe.T)
 
     def modulus(self):
         """|A| = U diag(r_1, r_1, ..., r_k, r_k, 0, ..., 0) U*."""

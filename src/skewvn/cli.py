@@ -9,6 +9,7 @@ checks pass, 1 a verification check failed, 2 input or usage error.
 """
 
 import argparse
+import math
 import sys
 
 from . import canonical, checks, cmatio, generate, wvn as wvn_mod
@@ -184,6 +185,15 @@ def _cmd_verify(args):
     return code
 
 
+def _check_tolerances(args):
+    """--tol must be finite and >= 0, --rank-tol in [0, 1)."""
+    tol, rank_tol = getattr(args, "tol", 0.0), getattr(args, "rank_tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        raise SkewvnError(f"--tol must be finite and >= 0, got {tol!r}")
+    if not 0.0 <= rank_tol < 1.0:
+        raise SkewvnError(f"--rank-tol must be in [0, 1), got {rank_tol!r}")
+
+
 _COMMANDS = {
     "gen": _cmd_gen,
     "youla": _cmd_youla,
@@ -198,6 +208,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         return _COMMANDS[args.command](args)
     except (SkewvnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

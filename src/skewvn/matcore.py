@@ -2,9 +2,8 @@
 
 Everything downstream works on square complex numpy arrays.  The helpers
 here pin down the tolerance and scaling conventions: input coercion, a
-Frobenius norm that scales exactly, the power-of-two exponent behind every
-exact prescale, and block Gram-Schmidt with an explicit drop threshold
-(used for tau-fixed bases; spectral objects come from ``canonical``).
+Frobenius norm that scales exactly, and the power-of-two exponent behind
+every exact prescale.  Spectral objects come from ``canonical``.
 """
 
 import math
@@ -38,30 +37,6 @@ def frob(m):
     overflows nor underflows; it scales exactly with m."""
     shift = pow2_exponent(m)
     return float(np.ldexp(np.linalg.norm(m * math.ldexp(1.0, -shift), "fro"), shift))
-
-
-def orthonormalize(vectors, tol=DEFAULT_TOL):
-    """Orthonormalize a sequence of complex vectors.
-
-    Block classical Gram-Schmidt, twice (CGS2): each candidate in turn loses
-    its projection onto all accepted vectors at once.  Vectors whose residual
-    then has norm <= tol are dropped, so the output may be shorter (or empty);
-    it never has more than n vectors, a basis of C^n.
-    """
-    vecs = [np.asarray(vec, dtype=complex).reshape(-1) for vec in vectors]
-    if any(v.shape != vecs[0].shape for v in vecs):
-        raise DimensionMismatch("vectors have mixed dimensions")
-    dim = vecs[0].size if vecs else 0
-    basis = np.empty((min(len(vecs), dim), dim), dtype=complex)
-    k = 0  # accepted vectors, the rows basis[:k]
-    for v in vecs:
-        for _ in range(2):
-            v = v - np.conj(basis[:k] @ np.conj(v)) @ basis[:k]  # v - B B* v
-        nrm = np.linalg.norm(v)
-        if nrm > tol and k < len(basis):
-            basis[k] = v / nrm
-            k += 1
-    return list(basis[:k])
 
 
 def pow2_exponent(mat):

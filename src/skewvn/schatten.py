@@ -1,4 +1,8 @@
-"""Singular values and Schatten p-norms of antilinear operators."""
+"""Singular values and Schatten p-norms of antilinear operators.
+
+``_schatten`` is the one Schatten sum, shared by ``schatten_norm``, the WvN
+step norms and ``checks.wvn``.
+"""
 
 import math
 
@@ -6,7 +10,6 @@ import numpy as np
 
 from .antilinear import AntilinearOperator
 from .errors import InvalidP
-from .matcore import DEFAULT_TOL
 
 
 def singular_values(a):
@@ -44,18 +47,3 @@ def _schatten(s, p, times=1.0):
     if smax == 0.0:
         return 0.0
     return smax * float(times * np.sum((s / smax) ** p)) ** (1.0 / p)
-
-
-def conjugate_exponent(p):
-    """q with 1/p + 1/q = 1."""
-    if not (1 < p < math.inf):
-        raise InvalidP(f"conjugate exponent needs 1 < p < inf, got {p}")
-    return p / (p - 1.0)
-
-
-def numerical_rank(a, tol=DEFAULT_TOL):
-    """Number of singular values above tol * s_max."""
-    s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))

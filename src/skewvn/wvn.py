@@ -59,22 +59,16 @@ class SpectralResolution:
     Column j of ``vectors`` has the eigenvalue ``eigenvalues[cluster_of[j]]``.
     """
 
-    a: float
     b: float
     eigenvalues: np.ndarray
     vectors: np.ndarray
     cluster_of: np.ndarray
 
-    def cluster_vectors(self, j):
-        """Orthonormal basis of the eigenspace of cluster j."""
-        return self.vectors[:, self.cluster_of == j]
-
     def cells(self, n):
-        """Cell of each cluster in the uniform partition of [a, b] into n
-        cells [a + (k-1)h, a + kh), the last one closed at b; n for a value
-        above b."""
+        """Cell of each cluster in the uniform partition of [0, b] into n
+        cells [(k-1)h, kh), the last one closed at b; n for a value above b."""
         lam = self.eigenvalues
-        edges = self.a + np.arange(1, n) * ((self.b - self.a) / n)
+        edges = np.arange(1, n) * (self.b / n)
         cell = np.searchsorted(edges, lam, side="right")
         cell[lam > self.b] = n
         return cell
@@ -127,7 +121,7 @@ def _resolve(vectors, lam):
     down = np.cumsum(-np.diff(lam, prepend=lam[:1]) > CLUSTER_TOL * max(s_max, 1e-300))
     cluster_of = down.max(initial=0) - down
     mean = np.bincount(cluster_of, weights=lam) / np.bincount(cluster_of)
-    return SpectralResolution(0.0, float(mean.max(initial=0.0)), mean, vectors, cluster_of)
+    return SpectralResolution(float(mean.max(initial=0.0)), mean, vectors, cluster_of)
 
 
 def spectral_resolution(a, tol=DEFAULT_TOL, youla=None):

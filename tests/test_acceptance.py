@@ -15,7 +15,7 @@ from skewvn.antilinear import (
     AntilinearOperator,
     Conjugation,
     make_anticonjugation,
-    transpose_check,
+    tau_transpose,
 )
 from skewvn.canonical import polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
@@ -103,7 +103,7 @@ def test_acceptance_3_rank_projection_step():
         a = AntilinearOperator(random_skew(rng, dim))
         kappa = polar_factorize(a).kappa
         res = spectral_resolution(a)
-        width = res.b - res.a
+        width = res.b
         f = np.eye(dim)[:, 0]
         ident = np.eye(dim)
         for n in (2, 4, 8, 16):
@@ -218,7 +218,7 @@ def test_acceptance_6_lemma_suite():
     for _ in range(100):
         dim = int(rng.integers(2, 10))
         t = random_complex(rng, dim, dim)
-        ok &= transpose_check(t, Conjugation.standard(dim)) <= 1e-14 * (1 + frob(t))
+        ok &= frob(t.T - tau_transpose(t, Conjugation.standard(dim))) <= 1e-14 * (1 + frob(t))
     # spectral-measure properties on 50 random (A, partition) pairs
     for _ in range(50):
         dim = 2 * int(rng.integers(2, 6))

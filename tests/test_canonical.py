@@ -174,8 +174,7 @@ def test_polar_kappa_commutes_with_spectral_projections():
     res = spectral_resolution(a)
     k = result.kappa.mat
     for j in range(res.eigenvalues.size):
-        vc = res.cluster_vectors(j)
-        proj = vc @ vc.conj().T
+        proj = res.projection(np.arange(res.eigenvalues.size) == j)
         # kappa o E and E o kappa as matrices: K conj(E) vs E K
         assert frob(k @ np.conj(proj) - proj @ k) <= 1e-9
 
@@ -221,3 +220,17 @@ def test_polar_factorizes_once(monkeypatch):
     scale = 1e-12 * (1 + frob(a.mat))
     assert frob(a.mat - result.kappa.mat @ np.conj(result.modulus)) <= scale
     assert frob(result.modulus - result.modulus.conj().T) <= scale
+
+
+def test_kappa_is_the_anticonjugation_of_the_pair_basis_bit_for_bit():
+    # kappa = F E^tr - E F^tr, formed without restacking the pairs, equals
+    # make_anticonjugation over the pairs (e_j, f_j) = (v_2j+1, v_2j)
+    from skewvn.antilinear import make_anticonjugation
+    from skewvn.generate import gen
+
+    for m in (gen("skew-symmetric", 8, None, 1), gen("skew-symmetric", 64, None, 2),
+              gen("skew-symmetric-rank", 64, 40, 3)):
+        youla = youla_decompose(m)
+        v = youla.pair_basis()[0]
+        ref = make_anticonjugation(list(zip(v[:, 1::2].T, v[:, 0::2].T)))
+        assert np.array_equal(youla.kappa().mat, ref.mat)

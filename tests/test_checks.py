@@ -86,6 +86,21 @@ def test_wvn_lines_fail_on_their_faults():
     assert failing(checks.wvn, m, k, d, u, wrong, epsilon, p) == {"wvn_block_residual"}
 
 
+def test_wvn_lines_decompose_k_once(monkeypatch):
+    # the budget and the Weyl line share one SVD of K: s(M), s(D) and s(K)
+    result = wvn_decompose(AntilinearOperator(M), EPSILON)
+    svds = []
+    real = np.linalg.svd
+
+    def counting(mat, *args, **kwargs):
+        svds.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert failing(checks.wvn, *wvn_args(result)) == set()
+    assert len(svds) == 3
+
+
 def skew_wvn():
     return skew_symmetric_wvn(M, Conjugation.standard(M.shape[0]), EPSILON)
 

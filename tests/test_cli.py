@@ -303,6 +303,30 @@ def test_cli_gen_refuses_out_of_range_arguments(tmp_path, capsys, args):
     assert not out.exists() and "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("youla", "--tol", "nan"),
+    ("youla", "--tol", "-1"),
+    ("youla", "--tol", "inf"),
+    ("youla", "--rank-tol", "nan"),
+    ("youla", "--rank-tol", "-0.5"),
+    ("skew-wvn", "--rank-tol", "2"),
+    ("wvn", "--rank-tol", "1"),
+    ("verify", "--tol", "nan"),
+])
+def test_cli_refuses_nonsense_tolerances(tmp_path, capsys, command, flag, value):
+    mpath = str(tmp_path / "m.cmat")
+    assert main(["gen", "--kind", "skew-symmetric", "--dim", "8", "--out", mpath]) == 0
+    args = [command, mpath, flag, value]
+    if command != "verify":
+        args += ["--out-prefix", str(tmp_path / "o")]
+    if command in ("wvn", "skew-wvn"):
+        args += ["--epsilon", "1e-2"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "o.report.txt").exists()
+
+
 def test_cli_wvn_refuses_epsilon_at_the_roundoff_floor(tmp_path, capsys):
     path = tmp_path / "huge.cmat"
     cmatio.write_cmat(path, generate.gen("skew-symmetric", 16, None, 5) * 1e150)

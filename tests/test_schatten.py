@@ -5,12 +5,7 @@ import pytest
 
 from skewvn.antilinear import AntilinearOperator
 from skewvn.errors import InvalidP
-from skewvn.schatten import (
-    conjugate_exponent,
-    numerical_rank,
-    schatten_norm,
-    singular_values,
-)
+from skewvn.schatten import schatten_norm, singular_values
 
 
 def random_complex(rng, rows, cols):
@@ -105,21 +100,3 @@ def test_unitary_congruence_invariance():
     a = AntilinearOperator(m)
     b = AntilinearOperator(u @ m @ u.T)
     assert np.allclose(singular_values(a), singular_values(b), atol=1e-10)
-
-
-def test_conjugate_exponent():
-    assert conjugate_exponent(2.0) == 2.0
-    assert abs(conjugate_exponent(1.5) - 3.0) <= 1e-15
-    assert abs(conjugate_exponent(3.0) - 1.5) <= 1e-15
-    with pytest.raises(InvalidP):
-        conjugate_exponent(1.0)
-    with pytest.raises(InvalidP):
-        conjugate_exponent(math.inf)
-
-
-def test_numerical_rank():
-    assert numerical_rank(AntilinearOperator(np.zeros((3, 3)))) == 0
-    m = np.diag([1.0, 1e-3, 1e-14]).astype(complex)
-    assert numerical_rank(AntilinearOperator(m), tol=1e-10) == 2
-    assert numerical_rank(AntilinearOperator(m), tol=1e-5) == 2
-    assert numerical_rank(AntilinearOperator(m), tol=1e-2) == 1

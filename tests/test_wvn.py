@@ -52,8 +52,7 @@ def two_block_matrix():
 
 
 def cluster_projection(res, j):
-    vc = res.cluster_vectors(j)
-    return vc @ vc.conj().T
+    return res.projection(np.arange(res.eigenvalues.size) == j)
 
 
 def cell_oracle(a, b, n, x):
@@ -69,14 +68,13 @@ def cell_oracle(a, b, n, x):
 
 
 def oracle_cells(res, n):
-    return np.array([cell_oracle(res.a, res.b, n, x) for x in res.eigenvalues])
+    return np.array([cell_oracle(0.0, res.b, n, x) for x in res.eigenvalues])
 
 
 def diagonal_resolution(b, lam):
     """A resolution with one eigenvalue per coordinate vector."""
     dim = len(lam)
     return SpectralResolution(
-        a=0.0,
         b=b,
         eigenvalues=np.array(lam),
         vectors=np.eye(dim, dtype=complex),
@@ -97,7 +95,7 @@ def test_spectral_resolution_scalar_modulus():
     res = spectral_resolution(a)
     assert np.allclose(res.eigenvalues, [2.0])
     assert frob(cluster_projection(res, 0) - np.eye(2)) <= 1e-10
-    assert res.a == 0.0 and abs(res.b - 2.0) <= 1e-12
+    assert abs(res.b - 2.0) <= 1e-12
 
 
 def test_spectral_resolution_zero():
@@ -221,7 +219,7 @@ def test_rank_projection_step_bounds():
     a = AntilinearOperator(random_skew(rng, 8))
     kappa = polar_factorize(a).kappa
     res = spectral_resolution(a)
-    width = res.b - res.a
+    width = res.b
     f = np.eye(8)[:, 0]
     theoretical = []
     for n in (2, 4, 8):
