@@ -8,7 +8,6 @@ from .antilinear import (
     Anticonjugation,
     AntilinearOperator,
     Conjugation,
-    is_skew_self_adjoint,
     is_tau_skew_symmetric,
     make_anticonjugation,
     tau_fixed_basis,
@@ -29,7 +28,6 @@ from .errors import (
     InvalidRank,
     KernelMismatch,
     NotOrthonormal,
-    NotSkewSelfAdjoint,
     NotSkewSymmetric,
     OddDimension,
     OddKernel,

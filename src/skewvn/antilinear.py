@@ -60,7 +60,6 @@ class Conjugation:
     """Antilinear isometric involution x -> mat @ conj(x)."""
 
     mat: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         c = matcore.require_square(self.mat)
@@ -68,9 +67,10 @@ class Conjugation:
         n = c.shape[0]
         if self.is_standard(0.0):  # the identity's residuals are exactly 0
             return
-        if frob(c.conj().T @ c - np.eye(n)) > self.tol * max(1.0, np.sqrt(n)):
+        bound = DEFAULT_TOL * max(1.0, np.sqrt(n))
+        if frob(c.conj().T @ c - np.eye(n)) > bound:
             raise SkewvnError("conjugation matrix is not unitary")
-        if frob(c @ np.conj(c) - np.eye(n)) > self.tol * max(1.0, np.sqrt(n)):
+        if frob(c @ np.conj(c) - np.eye(n)) > bound:
             raise SkewvnError("conjugation does not square to the identity")
 
     @classmethod
@@ -94,7 +94,6 @@ class Anticonjugation:
     """Antilinear isometry squaring to -I; exists only in even dimension."""
 
     mat: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         k = matcore.require_square(self.mat)
@@ -102,12 +101,12 @@ class Anticonjugation:
         n = k.shape[0]
         if n % 2 != 0:
             raise OddDimension("anticonjugations need even dimension")
-        scale = max(1.0, np.sqrt(n))
-        if frob(k.conj().T @ k - np.eye(n)) > self.tol * scale:
+        bound = DEFAULT_TOL * max(1.0, np.sqrt(n))
+        if frob(k.conj().T @ k - np.eye(n)) > bound:
             raise SkewvnError("anticonjugation matrix is not unitary")
-        if frob(k @ np.conj(k) + np.eye(n)) > self.tol * scale:
+        if frob(k @ np.conj(k) + np.eye(n)) > bound:
             raise SkewvnError("anticonjugation does not square to -I")
-        if frob(k + k.T) > self.tol * scale:
+        if frob(k + k.T) > bound:
             raise SkewvnError("anticonjugation matrix is not skew-symmetric")
 
     @property
@@ -116,12 +115,6 @@ class Anticonjugation:
 
     def __call__(self, x):
         return self.mat @ np.conj(np.asarray(x, dtype=complex))
-
-
-def is_skew_self_adjoint(a, tol=DEFAULT_TOL):
-    """True iff A# = -A, i.e. the matrix is skew-symmetric within tol."""
-    m = a.mat
-    return frob(m + m.T) <= tol * (1.0 + frob(m))
 
 
 def make_anticonjugation(pairs):

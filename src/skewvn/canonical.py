@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .antilinear import Anticonjugation, is_skew_self_adjoint
-from .errors import NotSkewSelfAdjoint, NotSkewSymmetric, OddKernel
+from .antilinear import Anticonjugation
+from .errors import NotSkewSymmetric, OddKernel
 from .matcore import DEFAULT_TOL, frob
 
 # entries of the compression at most this times eps * max|C| are roundoff
@@ -160,12 +160,14 @@ def _reduce_block(c):
 def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     """Unitary congruence M = U B U^tr with B block skew-diagonal.
 
-    M must be complex skew-symmetric within tol.  r holds each singular
+    M must be complex skew-symmetric within tol, ||M + M^tr||_F <=
+    tol (1 + ||M||_F), else NotSkewSymmetric before any work; this is the
+    one skew test of every decomposition.  r holds each singular
     value above rank_tol * r_max once per pair, descending; the remaining
     ``kernel_dim`` columns of U span the numerical kernel.
     """
     m = matcore.require_square(m)
-    if frob(m + m.T) > tol * (1.0 + frob(m)):
+    if not frob(m + m.T) <= tol * (1.0 + frob(m)):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
     # exact power-of-two prescale: the Gram matrix of a matrix near 2^+-600
     # would overflow or underflow, and r scales back exactly
@@ -216,8 +218,8 @@ def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
 
 def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     """Factor A = kappa |A| = |A| kappa, both read off one Youla form (see
-    ``YoulaResult.kappa`` and ``YoulaResult.modulus``).  Raises OddKernel
-    when the numerical kernel dimension is odd."""
-    if not is_skew_self_adjoint(a, tol):
-        raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
+    ``YoulaResult.kappa`` and ``YoulaResult.modulus``).  A is
+    skew-self-adjoint exactly when a.mat is skew-symmetric, which
+    ``youla_decompose`` tests.  Raises OddKernel when the numerical kernel
+    dimension is odd."""
     return youla_decompose(a.mat, tol, rank_tol).polar()

@@ -1,8 +1,9 @@
 """Verification checks: every residual the CLI reports and its bound.
 
-Each function takes the input matrix M and the plain arrays of a
-decomposition and appends ``<name> <PASS|FAIL> residual=.. bound=..`` lines
-to a ``VerificationReport``; the CLI and the tests call the same code.
+Each function takes the plain arrays of a decomposition, with the input
+matrix M or its spectral resolution, and appends ``<name> <PASS|FAIL>
+residual=.. bound=..`` lines to a ``VerificationReport``; the CLI and the
+tests call the same code.
 
 Bounds follow the normwise backward error: a residual of a quantity that
 scales with M is bounded by a tolerance times ||M||_F, so a verdict does not
@@ -91,35 +92,33 @@ def polar(report, m, kappa, modulus, tol):
     report.add("kappa_skew", frob(kappa + kappa.T), unit)
 
 
-def spectral_measure(report, m, kappa, tol, res=None):
+def spectral_measure(report, kappa, res):
     """G(omega)^2 = -E(omega), G(omega)# = -G(omega), G([a, b]) = kappa and
     additivity, over the uniform partition of [0, ||A||] into G_CELLS cells;
-    ``res`` is a precomputed ``wvn.spectral_resolution`` of A."""
-    a = AntilinearOperator(m)
+    ``res`` is the ``wvn.spectral_resolution`` of A."""
     kappa = AntilinearOperator(kappa)
-    if res is None:
-        res = wvn_mod.spectral_resolution(a, tol)
     cell = res.cells(G_CELLS)
-    total = np.zeros_like(a.mat)
+    total = np.zeros_like(kappa.mat)
     for i in range(G_CELLS):
         e = res.projection(cell == i)
-        g = wvn_mod.spectral_measure_G(a, kappa, cell == i, res=res)
+        g = wvn_mod.spectral_measure_G(kappa, cell == i, res)
         report.add(f"g_square_cell{i+1}", frob(g.compose(g) + e), G_BOUND)
         report.add(f"g_sharp_cell{i+1}", frob(g.sharp().mat + g.mat), G_BOUND)
         total = total + g.mat
-    g_full = wvn_mod.spectral_measure_G(a, kappa, cell < G_CELLS, res=res)
+    g_full = wvn_mod.spectral_measure_G(kappa, cell < G_CELLS, res)
     report.add("g_full_is_kappa", frob(g_full.mat - kappa.mat), G_BOUND)
     report.add("g_additive", frob(total - g_full.mat), G_BOUND)
 
 
-def wvn(report, m, k, d, u, d_values, epsilon, p):
-    """A = K + D, ||K||_p < epsilon, D = sum_j d_j (f_j e_j^tr - e_j f_j^tr)
-    over the paired basis in the columns e_1, f_1, e_2, ... of u, and Weyl
-    stability of the spectrum."""
+def wvn(report, m, k, d, u, d_values, tol, epsilon, p):
+    """A = K + D, ||K||_p < epsilon, u unitary, D = sum_j d_j (f_j e_j^tr -
+    e_j f_j^tr) over the paired basis in the columns e_1, f_1, e_2, ... of
+    u, and Weyl stability of the spectrum."""
     scale = frob(m)
     report.add("wvn_reconstruction", frob(m - k - d), 1e-10 * scale)
     s_k = singular_values(k)  # one SVD serves the budget and the Weyl line
     report.add("wvn_norm_budget", _schatten(s_k, p), epsilon, strict=True)
+    report.add("wvn_unitary", _unitarity(u), _unit_bound(tol, m.shape[0]))
     e, f = u[:, 0::2], u[:, 1::2]
     block = (f * d_values) @ e.T - (e * d_values) @ f.T
     report.add("wvn_block_residual", frob(d - block), 1e-9 * scale)

@@ -46,20 +46,18 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     youla = canonical.youla_decompose(m, tol, rank_tol)
     checks.youla(report, m, youla.u, youla.block_matrix(), tol)
 
-    a = AntilinearOperator(m)
     try:
         polar = youla.polar()
     except OddKernel as exc:
         report.note(f"OddKernel: {exc}")
         return report, 2
     checks.polar(report, m, polar.kappa.mat, polar.modulus, tol)
-    res = wvn_mod.spectral_resolution(a, tol, youla=youla)
-    checks.spectral_measure(report, m, polar.kappa.mat, tol, res=res)
+    checks.spectral_measure(report, polar.kappa.mat, wvn_mod.spectral_resolution(youla))
 
     if epsilon is not None:
-        result = wvn_mod.wvn_decompose(a, epsilon, p, tol, rank_tol)
+        result = wvn_mod.wvn_decompose(AntilinearOperator(m), epsilon, p, tol, rank_tol)
         checks.wvn(report, m, result.k.mat, result.d.mat, result.u,
-                   result.d_values, epsilon, p)
+                   result.d_values, tol, epsilon, p)
 
     return report, report.exit_code
 
@@ -150,7 +148,7 @@ def _cmd_wvn(args):
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
     _write_values(args.out_prefix, result.d_values)
     return _finish(args.out_prefix, checks.wvn, m, result.k.mat, result.d.mat,
-                   result.u, result.d_values, args.epsilon, args.p)
+                   result.u, result.d_values, args.tol, args.epsilon, args.p)
 
 
 def _cmd_skew_wvn(args):

@@ -4,9 +4,14 @@ Line 1 is ``CMAT v1 <rows> <cols>``; each following line holds one row as
 whitespace-separated ``re,im`` tokens.  Floats are written with Python's
 shortest round-trip repr, so write-then-read is bit exact.  ASCII, LF line
 endings.  Every entry must be finite.
+
+``parse_cmat`` reads the data lines in one loop: a line of ``re,im`` tokens
+converts in one numpy assignment, and any other line, or one with a
+non-finite value, entry by entry, naming the line and column of the first
+bad entry.  Both ways accept exactly the numbers that ``float`` accepts.
 """
 
-import cmath
+import math
 import re
 
 import numpy as np
@@ -27,23 +32,22 @@ def format_cmat(m):
     return "\n".join(lines) + "\n"
 
 
-def _parse_rows(body, rows, cols):
-    """The entries of the data lines in one conversion, or None for a
-    malformed line, whose line and column the entry-by-entry parse names.
-    A line of cols tokens and cols commas, none two in one token, holds cols
-    tokens a,b: 2 cols numbers unless some a or b is empty."""
-    malformed = any(len(line.split()) != cols or line.count(",") != cols for line in body)
-    if malformed or _TWO_COMMAS.search("\n".join(body)):
-        return None
-    try:
-        vals = np.array([line.replace(",", " ").split() for line in body], dtype=float)
-    except ValueError:
-        return None
-    if vals.shape != (rows, 2 * cols) or not np.all(np.isfinite(vals)):
-        return None
-    out = np.empty((rows, cols), dtype=complex)
-    out.real, out.imag = vals[:, 0::2], vals[:, 1::2]
-    return out
+def _parse_entries(tokens, line):
+    """The 2 len(tokens) numbers of one data line, entry by entry; raises
+    with the line and column of the first malformed or non-finite entry."""
+    vals = []
+    for j, tok in enumerate(tokens, start=1):
+        parts = tok.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"entry {tok!r} is not of the form re,im", line=line, column=j)
+        try:
+            pair = [float(parts[0]), float(parts[1])]
+        except ValueError:
+            raise ParseError(f"could not parse {tok!r}", line=line, column=j)
+        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+            raise ParseError(f"non-finite entry {tok!r}", line=line, column=j)
+        vals += pair
+    return vals
 
 
 def parse_cmat(text):
@@ -61,25 +65,22 @@ def parse_cmat(text):
         raise ParseError("dimensions must be positive", line=1)
     if len(lines) < rows + 1:
         raise ParseError(f"expected {rows} data lines", line=len(lines))
-    out = _parse_rows(lines[1 : rows + 1], rows, cols)
-    if out is not None:
-        return out
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, line in enumerate(lines[1 : rows + 1], start=2):
+    out = np.empty((rows, cols), dtype=complex)
+    vals = out.view(float)
+    for i, line in enumerate(lines[1 : rows + 1]):
         tokens = line.split()
         if len(tokens) != cols:
-            raise ParseError(f"expected {cols} entries, found {len(tokens)}", line=i)
-        for j, tok in enumerate(tokens, start=1):
-            parts = tok.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"entry {tok!r} is not of the form re,im", line=i, column=j)
+            raise ParseError(f"expected {cols} entries, found {len(tokens)}", line=i + 2)
+        # cols tokens, cols commas, none two in one token: cols tokens a,b,
+        # which convert at once unless some a or b is empty or malformed
+        if line.count(",") == cols and not _TWO_COMMAS.search(line):
             try:
-                value = complex(float(parts[0]), float(parts[1]))
+                vals[i] = line.replace(",", " ").split()
+                if np.all(np.isfinite(vals[i])):
+                    continue
             except ValueError:
-                raise ParseError(f"could not parse {tok!r}", line=i, column=j)
-            if not cmath.isfinite(value):
-                raise ParseError(f"non-finite entry {tok!r}", line=i, column=j)
-            out[i - 2, j - 1] = value
+                pass
+        vals[i] = _parse_entries(tokens, i + 2)
     return out
 
 

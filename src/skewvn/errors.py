@@ -21,10 +21,6 @@ class NotSkewSymmetric(SkewvnError):
     pass
 
 
-class NotSkewSelfAdjoint(SkewvnError):
-    pass
-
-
 class OddKernel(SkewvnError):
     """The numerical kernel is odd dimensional; no anticonjugation exists."""
 

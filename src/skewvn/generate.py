@@ -7,10 +7,6 @@ from .errors import DimensionMismatch, InvalidRank, SkewvnError
 KINDS = ("skew-symmetric", "skew-symmetric-rank", "tau-skew-symmetric-with-kernel")
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -23,7 +19,7 @@ def random_unitary(rng, n):
 
 def random_skew_symmetric(dim, seed):
     """W - W^tr from seeded standard-normal complex W; exactly skew."""
-    w = random_complex(_rng(seed), dim, dim)
+    w = random_complex(np.random.default_rng(seed), dim, dim)
     return w - w.T
 
 
@@ -33,7 +29,7 @@ def random_skew_symmetric_rank(dim, rank, seed):
         raise InvalidRank(f"skew-symmetric matrices have even rank, got {rank}")
     if rank > dim:
         raise InvalidRank(f"rank {rank} exceeds dimension {dim}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = random_unitary(rng, dim)
     b = np.zeros((dim, dim), dtype=complex)
     r_values = np.sort(rng.uniform(0.5, 2.0, size=rank // 2))[::-1]
@@ -49,7 +45,7 @@ def random_skew_with_kernel(dim, rank, seed):
         raise InvalidRank(f"skew-symmetric matrices have even rank, got {rank}")
     if rank > dim:
         raise InvalidRank(f"rank {rank} exceeds dimension {dim}")
-    w = random_complex(_rng(seed), rank, rank)
+    w = random_complex(np.random.default_rng(seed), rank, rank)
     core = w - w.T
     out = np.zeros((dim, dim), dtype=complex)
     out[:rank, :rank] = core

@@ -23,18 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .antilinear import (
-    AntilinearOperator,
-    is_skew_self_adjoint,
-    is_tau_skew_symmetric,
-    tau_fixed_basis,
-)
+from .antilinear import AntilinearOperator, is_tau_skew_symmetric, tau_fixed_basis
 from .canonical import COUPLING_EPS, block_skew_matrix, youla_decompose
 from .errors import (
     BudgetFailure,
     InvalidP,
     KernelMismatch,
-    NotSkewSelfAdjoint,
     NotSkewSymmetric,
     SkewvnError,
     ZeroVector,
@@ -124,25 +118,16 @@ def _resolve(vectors, lam):
     return SpectralResolution(float(mean.max(initial=0.0)), mean, vectors, cluster_of)
 
 
-def spectral_resolution(a, tol=DEFAULT_TOL, youla=None):
-    """Eigenvalues and eigenvectors of |A|, clustered at relative gap 1e-8.
-
-    |A| = U diag(r_1, r_1, ..., 0) U* for the Youla form M = U B U^tr, so
-    the columns of U are its eigenvectors.  ``youla`` is a precomputed
-    ``youla_decompose(a.mat)``.
-    """
-    if not is_skew_self_adjoint(a, tol):
-        raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
-    if youla is None:
-        youla = youla_decompose(a.mat, tol)
+def spectral_resolution(youla):
+    """Eigenvalues and eigenvectors of |A|, clustered at relative gap 1e-8,
+    read off the Youla form M = U B U^tr of A: |A| = U diag(r_1, r_1, ...,
+    0) U*, so the columns of U are its eigenvectors."""
     return _resolve(youla.u, np.concatenate([np.repeat(youla.r, 2), np.zeros(youla.kernel_dim)]))
 
 
-def spectral_measure_G(a, kappa, clusters, res=None):
+def spectral_measure_G(kappa, clusters, res):
     """G(omega) = kappa E(omega), the antilinear spectral measure of A, with
-    omega given by a boolean mask over the clusters of ``res``."""
-    if res is None:
-        res = spectral_resolution(a)
+    omega given by a boolean mask over the clusters of A's resolution ``res``."""
     e = res.projection(clusters)
     return AntilinearOperator(kappa.mat @ np.conj(e))
 
@@ -187,10 +172,11 @@ def rank_projection_step(a, kappa, f, n, tol=DEFAULT_TOL, res=None):
     of [0, ||A||], drops the cells where f_k vanishes, projects onto the
     span, and returns the projection P together with the skew-self-adjoint
     perturbation K = -(I-P)AP - PA(I-P), so that A + K is reduced by R(P).
-    ``wvn_decompose`` takes the same step in a Youla basis.
+    ``wvn_decompose`` takes the same step in a Youla basis.  ``res``
+    defaults to ``spectral_resolution(youla_decompose(a.mat, tol))``.
     """
     if res is None:
-        res = spectral_resolution(a, tol)
+        res = spectral_resolution(youla_decompose(a.mat, tol))
     f = np.asarray(f, dtype=complex).reshape(-1)
     cut = _cut_cells(res, res.vectors.conj().T @ f, n)
     # column j of F is f_k for the j-th kept cell k
@@ -278,9 +264,10 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     until the rest is below rank_tol * ||A||, numerical kernel paired with
     d = 0.  Each kept cell captures (f_k, kappa f_k) with
     d_k = <kappa f_k, A f_k>.  D = A + sum of the steps and K = -sum, so
-    A - K - D vanishes exactly.  Raises OddKernel for an odd numerical
-    kernel, and BudgetFailure when epsilon <= ROUNDOFF_FLOOR eps ||A||_p or
-    finer cells cannot change a step that misses its budget.
+    A - K - D vanishes exactly.  Raises NotSkewSymmetric as
+    ``youla_decompose`` does, OddKernel for an odd numerical kernel, and
+    BudgetFailure when epsilon <= ROUNDOFF_FLOOR eps ||A||_p or finer cells
+    cannot change a step that misses its budget.
     """
     _check_p(p)
     k, u, d_values, spent = _wvn(a, epsilon, p, tol, rank_tol)
@@ -298,8 +285,6 @@ def _wvn(a, epsilon, p, tol, rank_tol, split_kernel=False):
     """
     if not epsilon > 0:
         raise SkewvnError(f"epsilon must be positive, got {epsilon}")
-    if not is_skew_self_adjoint(a, tol):
-        raise NotSkewSelfAdjoint("operator is not skew-self-adjoint")
     n = a.dim
     youla = youla_decompose(a.mat, tol, rank_tol)
     # v: pair basis of the unexplored complement, r: its pair values,

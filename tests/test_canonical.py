@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from skewvn.antilinear import AntilinearOperator
+from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn import canonical
 from skewvn.canonical import K2, polar_factorize, youla_decompose
 from skewvn.errors import NotSkewSymmetric, OddKernel
 from skewvn.matcore import frob
+from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, wvn_decompose
 
 
 def random_complex(rng, rows, cols):
@@ -129,6 +130,38 @@ def test_antilinear_block_rejects_non_skew():
         youla_decompose(AntilinearOperator(np.eye(4)).mat)
 
 
+def decompositions(m, tol):
+    """Every decomposition of a skew matrix, called on m with tolerance tol."""
+    a, tau = AntilinearOperator(m), Conjugation.standard(m.shape[0])
+    return (lambda: youla_decompose(m, tol), lambda: polar_factorize(a, tol),
+            lambda: wvn_decompose(a, 1.0, tol=tol),
+            lambda: skew_symmetric_wvn(m, tau, 1.0, tol=tol),
+            lambda: kernel_split_wvn(m, tau, 1.0, tol=tol))
+
+
+def test_non_skew_input_is_refused_before_any_eigensolve(monkeypatch):
+    # one skew test, ||M + M^tr||_F <= tol (1 + ||M||_F), ahead of every
+    # factorization; a NaN tolerance admits nothing
+    eighs = []
+    real = np.linalg.eigh
+
+    def counting(mat, *args, **kwargs):
+        eighs.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    near = random_skew(np.random.default_rng(37), 6) + 1e-9 * np.eye(6)
+    for m, tol in ((np.eye(2), 1e-10), (np.arange(16.0).reshape(4, 4), 1e-10),
+                   (near, 1e-10), (np.array([[0, 1], [-1, 0]], dtype=complex), float("nan"))):
+        for run in decompositions(m, tol):
+            with pytest.raises(NotSkewSymmetric):
+                run()
+    assert eighs == []
+    for m in (np.array([[0, 1], [-1, 0]], dtype=complex), np.array([[0, 2j], [-2j, 0]]), near):
+        for run in decompositions(m, 1e-8):
+            run()
+
+
 def test_polar_exact_two_by_two():
     a = AntilinearOperator(np.array([[0, 3], [-3, 0]], dtype=complex))
     result = polar_factorize(a)
@@ -171,7 +204,7 @@ def test_polar_kappa_commutes_with_spectral_projections():
     rng = np.random.default_rng(34)
     a = AntilinearOperator(random_skew(rng, 8))
     result = polar_factorize(a)
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     k = result.kappa.mat
     for j in range(res.eigenvalues.size):
         proj = res.projection(np.arange(res.eigenvalues.size) == j)

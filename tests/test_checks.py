@@ -14,7 +14,7 @@ from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn.canonical import polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
 from skewvn.schatten import schatten_norm
-from skewvn.wvn import skew_symmetric_wvn, wvn_decompose
+from skewvn.wvn import skew_symmetric_wvn, spectral_resolution, wvn_decompose
 
 TOL = 1e-10
 EPSILON = 1e-2
@@ -61,29 +61,44 @@ def test_polar_lines_fail_on_their_faults():
 
 def test_spectral_measure_lines_fail_on_a_wrong_kappa():
     kappa = polar_factorize(AntilinearOperator(M)).kappa.mat
-    assert failing(checks.spectral_measure, M, kappa, TOL) == set()
+    res = spectral_resolution(youla_decompose(M))
+    assert failing(checks.spectral_measure, kappa, res) == set()
     cells = [f"g_{kind}_cell{i}" for kind in ("square", "sharp") for i in range(1, 5)]
     # G(w) = kappa E(w) is linear in kappa, so a wrong kappa keeps G additive
     # and G([0, ||A||]) = kappa; a kappa that is not skew breaks G(w)# = -G(w)
     # and G(w)^2 = -E(w) in every cell, a scaled kappa only the latter
-    assert failing(checks.spectral_measure, M, bump(kappa), TOL) == set(cells)
-    assert failing(checks.spectral_measure, M, 2.0 * kappa, TOL) == set(cells[:4])
+    assert failing(checks.spectral_measure, bump(kappa), res) == set(cells)
+    assert failing(checks.spectral_measure, 2.0 * kappa, res) == set(cells[:4])
 
 
 def wvn_args(result, epsilon=EPSILON):
-    return (M, result.k.mat, result.d.mat, result.u, result.d_values, epsilon, 2.0)
+    return (M, result.k.mat, result.d.mat, result.u, result.d_values, TOL, epsilon, 2.0)
 
 
 def test_wvn_lines_fail_on_their_faults():
     result = wvn_decompose(AntilinearOperator(M), EPSILON)
-    m, k, d, u, d_values, epsilon, p = wvn_args(result)
-    assert failing(checks.wvn, m, k, d, u, d_values, epsilon, p) == set()
+    m, k, d, u, d_values, tol, epsilon, p = wvn_args(result)
+    assert failing(checks.wvn, m, k, d, u, d_values, tol, epsilon, p) == set()
     # an off-block entry of D breaks A = K + D, the block form and the spectrum
-    assert failing(checks.wvn, m, k, bump(d), u, d_values, epsilon, p) == {
+    assert failing(checks.wvn, m, k, bump(d), u, d_values, tol, epsilon, p) == {
         "wvn_reconstruction", "wvn_block_residual", "wvn_weyl_stability"}
     wrong = d_values.copy()
     wrong[0] += 1e-6
-    assert failing(checks.wvn, m, k, d, u, wrong, epsilon, p) == {"wvn_block_residual"}
+    assert failing(checks.wvn, m, k, d, u, wrong, tol, epsilon, p) == {"wvn_block_residual"}
+
+
+def test_wvn_unitary_fails_on_a_perturbed_basis():
+    # D rebuilt as sum_j d_j (f_j e_j^tr - e_j f_j^tr) over a basis 1e-6 off
+    # unitary, and K = M - D: the other four lines cannot see the fault
+    m = generate.gen("skew-symmetric", 32, None, 4)
+    result = wvn_decompose(AntilinearOperator(m), EPSILON)
+    g = np.random.default_rng(0).standard_normal((32, 32))
+    u = result.u @ (np.eye(32) + 1e-6 * g)
+    e, f, d_values = u[:, 0::2], u[:, 1::2], result.d_values
+    d = (f * d_values) @ e.T - (e * d_values) @ f.T
+    assert failing(checks.wvn, m, result.k.mat, result.d.mat, result.u, d_values,
+                   TOL, EPSILON, 2.0) == set()
+    assert failing(checks.wvn, m, m - d, d, u, d_values, TOL, EPSILON, 2.0) == {"wvn_unitary"}
 
 
 def test_wvn_lines_decompose_k_once(monkeypatch):

@@ -1,3 +1,4 @@
+import cmath
 import tempfile
 from pathlib import Path
 
@@ -51,6 +52,62 @@ def test_format_cmat_matches_the_per_entry_formatter():
     assert text == per_entry_cmat(m)
     back = cmatio.parse_cmat(text)
     assert np.array_equal(back.view(np.int64), m.view(np.int64))
+
+
+def per_entry_parse_cmat(text):
+    """The whole-file entry-by-entry CMAT parser: the reference for
+    ``parse_cmat``, which must accept the same texts with the same bits and
+    refuse the others at the same line and column."""
+    lines = text.split("\n")
+    header = lines[0].split()
+    if len(header) != 4 or header[0] != "CMAT":
+        raise ParseError("malformed CMAT header", line=1)
+    if header[1] != "v1":
+        raise ParseError(f"unknown CMAT version {header[1]!r}", line=1)
+    try:
+        rows, cols = int(header[2]), int(header[3])
+    except ValueError:
+        raise ParseError("non-integer dimensions in header", line=1)
+    if rows <= 0 or cols <= 0:
+        raise ParseError("dimensions must be positive", line=1)
+    if len(lines) < rows + 1:
+        raise ParseError(f"expected {rows} data lines", line=len(lines))
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, line in enumerate(lines[1 : rows + 1], start=2):
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise ParseError(f"expected {cols} entries, found {len(tokens)}", line=i)
+        for j, tok in enumerate(tokens, start=1):
+            parts = tok.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"entry {tok!r} is not of the form re,im", line=i, column=j)
+            try:
+                value = complex(float(parts[0]), float(parts[1]))
+            except ValueError:
+                raise ParseError(f"could not parse {tok!r}", line=i, column=j)
+            if not cmath.isfinite(value):
+                raise ParseError(f"non-finite entry {tok!r}", line=i, column=j)
+            out[i - 2, j - 1] = value
+    return out
+
+
+def parse_outcome(parse, text):
+    """The bits parse(text) returns, or the error, line and column it raises."""
+    try:
+        return parse(text).view(np.int64).tolist()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_parse_cmat_matches_the_per_entry_parser_on_its_last_line():
+    text = cmatio.format_cmat(generate.gen("skew-symmetric", 64, None, 5))
+    assert parse_outcome(cmatio.parse_cmat, text) == parse_outcome(per_entry_parse_cmat, text)
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    for tok in ("nan,0", "0,1e400", "1,", "1,2,3", "0x1p3,0", "1_0,infinity"):
+        bad = f"{head}\n{last.rsplit(' ', 1)[0]} {tok}\n"
+        expected = parse_outcome(per_entry_parse_cmat, bad)
+        assert parse_outcome(cmatio.parse_cmat, bad) == expected
+        assert tok == "1_0,infinity" or expected[1:] == (65, 64)
 
 
 def test_cmat_parse_errors_on_irregular_tokens_carry_location():
@@ -458,6 +515,13 @@ def test_cli_exits_0_1_or_2_on_any_cmat_text(data, command):
         if command[0] != "verify":
             args += ["--out-prefix", str(Path(tmp) / "o")]
         assert main(args) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cmat_texts())
+def test_parse_cmat_matches_the_per_entry_parser(data):
+    text = data.decode("latin-1")
+    assert parse_outcome(cmatio.parse_cmat, text) == parse_outcome(per_entry_parse_cmat, text)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

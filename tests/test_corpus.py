@@ -12,7 +12,7 @@ from skewvn import checks, generate
 from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn.canonical import block_skew_matrix, polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
-from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, wvn_decompose
+from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, spectral_resolution, wvn_decompose
 
 TOL = 1e-10
 EPSILON = 1e-2
@@ -57,7 +57,7 @@ def test_corpus_youla_and_polar(family, n):
     a = AntilinearOperator(m)
     polar = polar_factorize(a)
     checks.polar(report, m, polar.kappa.mat, polar.modulus, TOL)
-    checks.spectral_measure(report, m, polar.kappa.mat, TOL)
+    checks.spectral_measure(report, polar.kappa.mat, spectral_resolution(youla))
     assert report.all_pass, report.render()
 
 
@@ -67,7 +67,7 @@ def test_corpus_wvn_and_skew_wvn(family, n):
     report = VerificationReport()
     result = wvn_decompose(AntilinearOperator(m), EPSILON)
     checks.wvn(report, m, result.k.mat, result.d.mat, result.u, result.d_values,
-               EPSILON, 2.0)
+               TOL, EPSILON, 2.0)
     skew = skew_symmetric_wvn(m, Conjugation.standard(n), EPSILON)
     checks.decomposition(report, "skew_wvn", m, skew.k, skew.d, skew.u, TOL, EPSILON)
     assert report.all_pass, report.render()

@@ -92,21 +92,21 @@ def test_partition_cells_cover_interval():
 
 def test_spectral_resolution_scalar_modulus():
     a = AntilinearOperator(np.array([[0, 2], [-2, 0]], dtype=complex))
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     assert np.allclose(res.eigenvalues, [2.0])
     assert frob(cluster_projection(res, 0) - np.eye(2)) <= 1e-10
     assert abs(res.b - 2.0) <= 1e-12
 
 
 def test_spectral_resolution_zero():
-    res = spectral_resolution(AntilinearOperator(np.zeros((3, 3))))
+    res = spectral_resolution(youla_decompose(np.zeros((3, 3))))
     assert np.allclose(res.eigenvalues, [0.0])
     assert frob(cluster_projection(res, 0) - np.eye(3)) <= 1e-12
 
 
 def test_spectral_resolution_two_blocks():
     a = AntilinearOperator(two_block_matrix())
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     assert np.allclose(res.eigenvalues, [1.0, 2.0])
     projections = [cluster_projection(res, j) for j in range(res.eigenvalues.size)]
     for proj in projections:
@@ -121,7 +121,7 @@ def test_spectral_resolution_top_cluster_lies_in_a_cell():
     # the mean of three pairs at 0.7 rounds up to 0.7000000000000001; the
     # cluster must still lie in a cell, not beyond b
     youla = YoulaResult(u=np.eye(6, dtype=complex), r=np.full(3, 0.7), kernel_dim=0)
-    res = spectral_resolution(AntilinearOperator(block_skew_matrix(youla.r, 6)), youla=youla)
+    res = spectral_resolution(youla)
     assert res.eigenvalues[0] > 0.7
     for n in (1, 4, 7):
         assert list(res.cells(n)) == [n - 1]
@@ -129,7 +129,7 @@ def test_spectral_resolution_top_cluster_lies_in_a_cell():
 
 def test_spectral_projection_selection():
     a = AntilinearOperator(two_block_matrix())
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     lam = res.eigenvalues
     low = res.projection((lam >= 0.5) & (lam < 1.5))
     # projection onto the eigenvalue-1 eigenspace = last two coordinates
@@ -145,8 +145,8 @@ def test_g_full_interval_is_kappa():
     rng = np.random.default_rng(40)
     a = AntilinearOperator(random_skew(rng, 6))
     kappa = polar_factorize(a).kappa
-    res = spectral_resolution(a)
-    g = spectral_measure_G(a, kappa, oracle_cells(res, 1) == 0, res=res)
+    res = spectral_resolution(youla_decompose(a.mat))
+    g = spectral_measure_G(kappa, oracle_cells(res, 1) == 0, res)
     assert frob(g.mat - kappa.mat) <= 1e-10
 
 
@@ -154,9 +154,9 @@ def test_g_empty_interval():
     rng = np.random.default_rng(41)
     a = AntilinearOperator(random_skew(rng, 4))
     kappa = polar_factorize(a).kappa
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     lam = res.eigenvalues
-    g = spectral_measure_G(a, kappa, (lam >= res.b + 1.0) & (lam < res.b + 2.0), res=res)
+    g = spectral_measure_G(kappa, (lam >= res.b + 1.0) & (lam < res.b + 2.0), res)
     assert frob(g.mat) == 0.0
 
 
@@ -164,9 +164,9 @@ def test_g_square_property():
     rng = np.random.default_rng(42)
     a = AntilinearOperator(random_skew(rng, 6))
     kappa = polar_factorize(a).kappa
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     lower = oracle_cells(res, 2) == 0  # [a, (a + b) / 2)
-    g = spectral_measure_G(a, kappa, lower, res=res)
+    g = spectral_measure_G(kappa, lower, res)
     e = res.projection(lower)
     # G(omega)^2 = -E(omega)
     assert frob(g.compose(g) + e) <= 1e-10
@@ -176,11 +176,11 @@ def test_g_sharp_and_additivity():
     rng = np.random.default_rng(43)
     a = AntilinearOperator(random_skew(rng, 8))
     kappa = polar_factorize(a).kappa
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     cell = res.cells(3)
     total = np.zeros((8, 8), dtype=complex)
     for k in range(3):
-        g = spectral_measure_G(a, kappa, cell == k, res=res)
+        g = spectral_measure_G(kappa, cell == k, res)
         assert frob(g.sharp().mat + g.mat) <= 1e-10
         total += g.mat
     assert frob(total - kappa.mat) <= 1e-10
@@ -218,7 +218,7 @@ def test_rank_projection_step_bounds():
     rng = np.random.default_rng(44)
     a = AntilinearOperator(random_skew(rng, 8))
     kappa = polar_factorize(a).kappa
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     width = res.b
     f = np.eye(8)[:, 0]
     theoretical = []
@@ -252,7 +252,7 @@ def test_step_family_orthogonality():
     rng = np.random.default_rng(45)
     a = AntilinearOperator(random_skew(rng, 8))
     kappa = polar_factorize(a).kappa
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     f = random_complex(rng, 8, 1).ravel()
     fs, gs = [], []
     cell = oracle_cells(res, 4)
@@ -548,7 +548,7 @@ def test_rank_projection_step_matches_dense_cells():
     r = [3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.5 + 1e-3]
     a = AntilinearOperator(u @ block_skew_matrix(r, 16) @ u.T)
     kappa = polar_factorize(a).kappa
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     f = random_complex(rng, 16, 1).ravel()
     for n in (1, 2, 3, 4, 5, 8, 16, 4096):
         step = rank_projection_step(a, kappa, f, n, res=res)
@@ -579,7 +579,7 @@ def test_rank_projection_step_cells_follow_interval_contains():
 
 def test_spectral_resolution_memory_is_quadratic():
     n = 256
-    res = spectral_resolution(AntilinearOperator(generate.gen("skew-symmetric", n, None, 3)))
+    res = spectral_resolution(youla_decompose(generate.gen("skew-symmetric", n, None, 3)))
     fields = vars(res).values()
     held = sum(
         np.asarray(x).nbytes for v in fields for x in (v if isinstance(v, list) else [v])
@@ -637,7 +637,7 @@ def test_wvn_budget_failure_stops_when_cells_saturate(monkeypatch):
     with pytest.raises(BudgetFailure) as excinfo:
         wvn_decompose(a, 1e-10)
     # first cell count 4 * 2^j at which the clusters of |A| sit in distinct cells
-    res = spectral_resolution(a)
+    res = spectral_resolution(youla_decompose(a.mat))
     assert res.eigenvalues.size == 7
     cells = 4
     while True:
@@ -746,7 +746,7 @@ def dense_accepted_cells(a, epsilon, p=2.0):
         if seeds.size == 0:
             break
         kappa = polar_factorize(sub).kappa
-        res = spectral_resolution(sub)
+        res = spectral_resolution(youla_decompose(sub.mat))
         # each step gets half of the budget left
         budget = (epsilon - spent) / 2.0
         cells = 4
