@@ -3,10 +3,10 @@
 ``youla_decompose`` is the one factorization of a skew matrix: a unitary U
 with M = U B U^tr, B the direct sum of blocks r_j [[0, 1], [-1, 0]] padded
 with zeros.  Read as an antilinear operator, U* o A o U is the block form B,
-with the pair (e_j, f_j) in columns (2j+1, 2j) of U.  The polar
-factorization A = kappa |A| = |A| kappa is read off it: kappa sends
-e_j -> f_j -> -e_j (the kernel columns paired in order) and
-|A| = U diag(r_1, r_1, r_2, r_2, ..., 0) U*.
+with the pair (e_j, f_j) in columns (2j+1, 2j) of U; an even kernel is
+stored in pairs the same way.  The polar factorization
+A = kappa |A| = |A| kappa is read off it: kappa sends e_j -> f_j -> -e_j
+and |A| = U diag(r_1, r_1, r_2, r_2, ..., 0) U*.
 
 Every step is a unitary congruence, so the factorization is backward
 stable.  The eigenvectors W of the Gram matrix M M* (on an exact power-of-two
@@ -52,26 +52,22 @@ class YoulaResult:
         return block_skew_matrix(self.r, self.dim)
 
     def pair_basis(self):
-        """(V, r), M = V B V^tr with B = block_skew_matrix(r): U with each
-        kernel pair swapped, so that kappa maps column 2j+1 to column 2j,
-        and r padded with zeros.  Raises OddKernel when the numerical kernel
-        is odd dimensional, where no anticonjugation exists."""
+        """(U, r), M = U B U^tr with B = block_skew_matrix(r): U itself, no
+        copy, and r padded with zeros; kappa maps column 2j+1 to column 2j.
+        Raises OddKernel when the numerical kernel is odd dimensional, where
+        no anticonjugation exists."""
         if self.kernel_dim % 2 != 0:
             raise OddKernel(
                 f"numerical kernel dimension {self.kernel_dim} is odd; "
                 "no anticonjugation factorization exists"
             )
-        cols = np.arange(self.dim)
-        cols[2 * self.r.size :] = cols[2 * self.r.size :].reshape(-1, 2)[:, ::-1].ravel()
-        return self.u[:, cols], np.concatenate([self.r, np.zeros(self.kernel_dim // 2)])
+        return self.u, np.concatenate([self.r, np.zeros(self.kernel_dim // 2)])
 
     def kappa(self):
         """The anticonjugation e_j -> f_j, f_j -> -e_j of ``pair_basis``,
-        F E^tr - E F^tr with e_j, f_j in columns 2j+1, 2j; kernel columns are
-        paired in order."""
+        F E^tr - E F^tr with e_j, f_j in columns 2j+1, 2j."""
         v = self.pair_basis()[0]
         fe = v[:, 0::2] @ v[:, 1::2].T
-        del v  # not held through the checks of Anticonjugation
         return Anticonjugation(fe - fe.T)
 
     def modulus(self):
@@ -164,7 +160,7 @@ def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     tol (1 + ||M||_F), else NotSkewSymmetric before any work; this is the
     one skew test of every decomposition.  r holds each singular
     value above rank_tol * r_max once per pair, descending; the remaining
-    ``kernel_dim`` columns of U span the numerical kernel.
+    ``kernel_dim`` columns of U span the numerical kernel, paired when even.
     """
     m = matcore.require_square(m)
     if not frob(m + m.T) <= tol * (1.0 + frob(m)):
@@ -208,6 +204,7 @@ def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     keep = sigma > rank_tol * sigma.max(initial=0.0)
     order = np.argsort(-sigma[keep], kind="stable")
     kernel = np.sort(np.concatenate(unpaired + [first[~keep], second[~keep]]))
+    kernel = kernel.reshape(-1, 2)[:, ::-1].ravel() if kernel.size % 2 == 0 else kernel
     pairs = np.column_stack([first[keep][order], second[keep][order]]).ravel()
     return YoulaResult(
         u=w[:, np.concatenate([pairs, kernel])],

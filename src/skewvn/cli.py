@@ -42,7 +42,9 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
         checks.decomposition(report, "decomp", m, k, d, u, tol, epsilon, p)
         return report, report.exit_code
 
-    # one factorization for the youla, polar and spectral-measure lines
+    if epsilon is not None:
+        wvn_mod._check_budget(epsilon, p)
+    # one factorization for the youla, polar, spectral-measure and wvn lines
     youla = canonical.youla_decompose(m, tol, rank_tol)
     checks.youla(report, m, youla.u, youla.block_matrix(), tol)
 
@@ -55,9 +57,8 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     checks.spectral_measure(report, polar.kappa.mat, wvn_mod.spectral_resolution(youla))
 
     if epsilon is not None:
-        result = wvn_mod.wvn_decompose(AntilinearOperator(m), epsilon, p, tol, rank_tol)
-        checks.wvn(report, m, result.k.mat, result.d.mat, result.u,
-                   result.d_values, tol, epsilon, p)
+        k, u, d_values, _ = wvn_mod._wvn(youla, epsilon, p, tol, rank_tol)
+        checks.wvn(report, m, k, m - k, u, d_values, tol, epsilon, p)
 
     return report, report.exit_code
 

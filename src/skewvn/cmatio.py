@@ -1,9 +1,9 @@
 """CMAT v1 matrix files.
 
-Line 1 is ``CMAT v1 <rows> <cols>``; each following line holds one row as
-whitespace-separated ``re,im`` tokens.  Floats are written with Python's
-shortest round-trip repr, so write-then-read is bit exact.  ASCII, LF line
-endings.  Every entry must be finite.
+Line 1 is ``CMAT v1 <rows> <cols>``; the next <rows> lines hold one row each
+as whitespace-separated ``re,im`` tokens, and any further line is empty.
+Floats are written with Python's shortest round-trip repr, so write-then-read
+is bit exact.  ASCII, LF line endings.  Every entry must be finite.
 
 ``parse_cmat`` reads the data lines in one loop: a line of ``re,im`` tokens
 converts in one numpy assignment, and any other line, or one with a
@@ -81,6 +81,9 @@ def parse_cmat(text):
             except ValueError:
                 pass
         vals[i] = _parse_entries(tokens, i + 2)
+    for i, line in enumerate(lines[rows + 1 :], start=rows + 2):
+        if line:
+            raise ParseError(f"data line past the {rows} rows of the header", line=i)
     return out
 
 

@@ -11,10 +11,11 @@ form B and kappa swaps each pair: the step is block-diagonal by cell, its
 ||K||_p and the value d_k of each captured pair are per-cell sums, and the
 rest of a kept cell, the complement of (f_k, kappa f_k) there, is again a
 pair basis after one real eigensolve of |A| on it.  Kept cells write
-(f_k, kappa f_k) and Y_k into two n x n arrays, which give K, D and the
-basis at the end; the kernel left closes the basis, d = 0.  The linear
-corollaries run the same loop on T in a tau-fixed basis: ``kernel_split_wvn``
-reads N(T) off the same Youla form and leaves it unpaired, last in U.
+(f_k, kappa f_k) over Youla columns already read and Y_k into one n x n
+array, which give K, D and the basis at the end; the kernel left closes the
+basis, d = 0.  The linear corollaries run the same loop on T in a tau-fixed
+basis: ``kernel_split_wvn`` reads N(T) off the same Youla form and leaves
+it unpaired, last in U.
 """
 
 import math
@@ -192,9 +193,12 @@ def rank_projection_step(a, kappa, f, n, tol=DEFAULT_TOL, res=None):
     )
 
 
-def _check_p(p):
+def _check_budget(epsilon, p):
+    """Refuse p outside (1, inf) or epsilon <= 0 before any factorization."""
     if not (1 < p < math.inf):
         raise InvalidP(f"the decomposition needs 1 < p < inf, got {p}")
+    if not epsilon > 0:
+        raise SkewvnError(f"epsilon must be positive, got {epsilon}")
 
 
 def _swap(x):
@@ -269,41 +273,34 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     BudgetFailure when epsilon <= ROUNDOFF_FLOOR eps ||A||_p or finer cells
     cannot change a step that misses its budget.
     """
-    _check_p(p)
-    k, u, d_values, spent = _wvn(a, epsilon, p, tol, rank_tol)
+    _check_budget(epsilon, p)
+    k, u, d_values, spent = _wvn(youla_decompose(a.mat, tol, rank_tol), epsilon, p, tol,
+                                 rank_tol)
     return WvnResult(k=AntilinearOperator(k), d=AntilinearOperator(a.mat - k), u=u,
                      d_values=d_values, p=p, epsilon=epsilon, achieved_norm=spent)
 
 
-def _wvn(a, epsilon, p, tol, rank_tol, split_kernel=False):
-    """(K, U, d, sum of the step norms) of ``wvn_decompose``, from one Youla
-    form of A, dropped before the loop.  With ``split_kernel`` its kernel
+def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
+    """(K, U, d, sum of the step norms) of ``wvn_decompose`` for an epsilon
+    and p that ``_check_budget`` admits.  U is ``youla.u``, overwritten, so
+    callers do not read ``youla`` after.  With ``split_kernel`` its kernel
     columns Z close U unpaired, with K and d zero there, once N(A) = conj(Z)
     is N(A*) = Z: ||P_N(A) - P_N(A*)||_F = sqrt(2) ||conj(Z) - Z Z* conj(Z)||_F
     at most max(tol, 1e-8), else KernelMismatch.  Without, an odd kernel
     raises OddKernel.
     """
-    if not epsilon > 0:
-        raise SkewvnError(f"epsilon must be positive, got {epsilon}")
-    n = a.dim
-    youla = youla_decompose(a.mat, tol, rank_tol)
     # v: pair basis of the unexplored complement, r: its pair values,
     # descending; u's columns from ``paired`` on hold the unpaired kernel
+    u, r = (youla.u, youla.r) if split_kernel else youla.pair_basis()
+    paired = 2 * r.size
     if split_kernel:
-        paired = 2 * youla.r.size
-        v, r, z = youla.u, youla.r, youla.u[:, paired:]
+        z = u[:, paired:]
         mismatch = math.sqrt(2.0) * frob(np.conj(z) - z @ np.conj(z.T @ z))  # Z* conj(Z)
-        del z  # a view of U, which the loop must not hold
         if mismatch > max(tol, 1e-8):
             raise KernelMismatch(f"numerical kernels of T and T* differ: "
                                  f"||P_N(T) - P_N(T*)||_F = {mismatch:.3e}")
-    else:
-        paired = n
-        v, r = youla.pair_basis()
-    del youla  # before u and y: when v is a copy, they can take the memory of U
     # kept cell i: f_k, kappa f_k in columns 2i, 2i+1 of u, and Y_k in those of y
-    u, y = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
-    u[:, paired:], v = v[:, paired:], v[:, :paired]
+    v, y = u[:, :paired], np.empty_like(u)
     norm_a = _schatten(r, p, 2.0)
     floor = ROUNDOFF_FLOOR * np.finfo(float).eps * norm_a
     if epsilon <= floor:
@@ -350,12 +347,13 @@ def _wvn(a, epsilon, p, tol, rank_tol, split_kernel=False):
         rest = ~np.isin(cut.cell, cut.kept)
         v_parts, r_parts = [v[:, rest]], [r[rest[0::2]]]
         for lo, hi in zip(starts[kept], np.append(starts[1:], lam.size)[kept]):
-            u[:, used : used + 2], y[:, used : used + 2] = np.hsplit(v[:, lo:hi] @ x[lo:hi], 2)
-            used += 2
             if hi - lo > 2:
                 vb, rb = _cell_complement(v[:, lo:hi], lam[lo:hi], x[lo:hi, :2], res.b)
                 v_parts.append(vb)
                 r_parts.append(rb)
+            # used <= lo, kept cells spanning >= 2 columns: only read columns of v change
+            u[:, used : used + 2], y[:, used : used + 2] = np.hsplit(v[:, lo:hi] @ x[lo:hi], 2)
+            used += 2
         r = np.concatenate(r_parts)
         order = np.argsort(-r, kind="stable")
         v = np.hstack(v_parts)[:, (2 * order[:, None] + np.arange(2)).ravel()]
@@ -406,15 +404,15 @@ def kernel_split_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_T
 
 
 def _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel):
-    _check_p(p)
+    _check_budget(epsilon, p)
     t = matcore.require_square(t)
     if not is_tau_skew_symmetric(t, tau, tol):
         raise NotSkewSymmetric("matrix is not tau-skew-symmetric within tolerance")
     # the standard basis is tau-fixed for the standard conjugation
     r_basis = None if tau.is_standard() else tau_fixed_basis(tau)
     t_fixed = t if r_basis is None else r_basis.conj().T @ t @ r_basis  # plain skew-symmetric
-    k, u, d_values, spent = _wvn(AntilinearOperator(t_fixed), epsilon, p, tol, rank_tol,
-                                 split_kernel)
+    k, u, d_values, spent = _wvn(youla_decompose(t_fixed, tol, rank_tol), epsilon, p, tol,
+                                 rank_tol, split_kernel)
     # column order (f, e) makes U D U^tr reproduce the antilinear block form;
     # unpaired kernel columns stay last
     cols = np.arange(t.shape[0])

@@ -262,8 +262,10 @@ def test_kappa_is_the_anticonjugation_of_the_pair_basis_bit_for_bit():
     from skewvn.generate import gen
 
     for m in (gen("skew-symmetric", 8, None, 1), gen("skew-symmetric", 64, None, 2),
-              gen("skew-symmetric-rank", 64, 40, 3)):
+              gen("skew-symmetric-rank", 64, 40, 3),
+              gen("tau-skew-symmetric-with-kernel", 12, 4, 4)):
         youla = youla_decompose(m)
         v = youla.pair_basis()[0]
+        assert np.shares_memory(v, youla.u)
         ref = make_anticonjugation(list(zip(v[:, 1::2].T, v[:, 0::2].T)))
         assert np.array_equal(youla.kappa().mat, ref.mat)

@@ -88,6 +88,9 @@ def per_entry_parse_cmat(text):
             if not cmath.isfinite(value):
                 raise ParseError(f"non-finite entry {tok!r}", line=i, column=j)
             out[i - 2, j - 1] = value
+    for i, line in enumerate(lines[rows + 1 :], start=rows + 2):
+        if line:
+            raise ParseError(f"data line past the {rows} rows of the header", line=i)
     return out
 
 
@@ -117,6 +120,20 @@ def test_cmat_parse_errors_on_irregular_tokens_carry_location():
         with pytest.raises(ParseError) as excinfo:
             cmatio.parse_cmat(f"CMAT v1 2 2\n0,0 0,0\n{row}\n")
         assert (excinfo.value.line, excinfo.value.column) == (3, column)
+
+
+def test_cmat_refuses_data_lines_past_the_header_rows(tmp_path, capsys):
+    path = tmp_path / "long.cmat"
+    path.write_text("CMAT v1 2 2\n0,0 1,0\n-1,0 0,0\n5,5 6,6\n")
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "line 4" in err and "Traceback" not in err
+    with pytest.raises(ParseError) as excinfo:
+        cmatio.parse_cmat("CMAT v1 1 1\n0,0\n\n \n")
+    assert excinfo.value.line == 4
+    # the empty string after the final newline, or none at all
+    for text in ("CMAT v1 1 1\n0,0\n", "CMAT v1 1 1\n0,0"):
+        assert cmatio.parse_cmat(text).shape == (1, 1)
 
 
 def test_cmat_rejects_unknown_version():
@@ -222,11 +239,17 @@ def test_run_verify_factorizes_once(monkeypatch):
     monkeypatch.setattr(canonical, "youla_decompose", counting)
     monkeypatch.setattr(wvn, "youla_decompose", counting)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    report, code = run_verify(generate.gen("skew-symmetric", 8, None, 5), 1e-10, 1e-10)
-    assert code == 0
-    assert calls == [(8, 8)]
-    assert eigensolves == [(8, 8)]
-    assert "g_additive" in {name for name, *_ in report.checks}
+    m = generate.gen("skew-symmetric", 8, None, 5)
+    # with epsilon the WvN loop refines that form in place: its cell
+    # complements solve only blocks of half a cell
+    for epsilon, line in ((None, "g_additive"), (1e-2, "wvn_norm_budget")):
+        calls.clear()
+        eigensolves.clear()
+        report, code = run_verify(m, 1e-10, 1e-10, epsilon)
+        assert code == 0
+        assert calls == [(8, 8)]
+        assert [s for s in eigensolves if s == (8, 8)] == [(8, 8)]
+        assert line in {name for name, *_ in report.checks}
 
 
 def test_cli_youla_rank_cut_follows_rank_tol(tmp_path):
@@ -486,7 +509,7 @@ def cmat_texts(draw):
     m = random_complex(rng, n, n)
     if draw(st.booleans()):
         m = m - m.T
-    rows = [[f"{z.real!r},{z.imag!r}" for z in row] for row in m]
+    rows = [[f"{float(z.real)!r},{float(z.imag)!r}" for z in row] for row in m]
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         rows[i][j] = f"{draw(TOKENS)},{draw(TOKENS)}"

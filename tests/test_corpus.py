@@ -132,8 +132,9 @@ WORKING_SET_OPS = {
     "skew-wvn": lambda m: skew_symmetric_wvn(m, Conjugation.standard(m.shape[0]), EPSILON),
     "kernel-split": lambda m: kernel_split_wvn(m, Conjugation.standard(m.shape[0]), EPSILON),
 }
-# (family, op, bound): Youla's eigh needs its input and its output W; K,
-# D and the basis are written in place of the per-cell blocks.  Clustered
+# (family, op, bound): Youla's eigh needs its input and its output W; the
+# WvN basis is written over the Youla basis and Y into one more array, so
+# generic wvn stays at Youla's peak and skew-wvn one array above.  Clustered
 # inputs keep larger per-cell complements, so their bound is the peak
 # before K, D and the basis were preallocated.  A graded input's Youla form
 # holds one big coupled block; its cell complements add no more than that.
@@ -141,15 +142,15 @@ WORKING_SET_OPS = {
 # skew-wvn bound; the odd-kernel input has n = 257 and rank 128.
 WORKING_SET = [
     ("generic", "youla", 4.5),
-    ("generic", "wvn", 5.0),
-    ("generic", "skew-wvn", 6.5),
-    ("near-degenerate", "wvn", 5.0),
+    ("generic", "wvn", 3.5),
+    ("generic", "skew-wvn", 4.5),
+    ("near-degenerate", "wvn", 4.5),
     ("kernel-heavy", "wvn", 5.0),
     ("clustered", "wvn", 9.1),
     ("graded", "wvn", 6.0),
     ("graded", "skew-wvn", 7.0),
-    ("generic", "kernel-split", 6.5),
-    ("odd-kernel", "kernel-split", 6.5),
+    ("generic", "kernel-split", 4.5),
+    ("odd-kernel", "kernel-split", 4.5),
 ]
 
 

@@ -681,6 +681,44 @@ def test_wvn_refuses_an_epsilon_that_is_not_positive(monkeypatch):
     assert attempts == []
 
 
+def test_budget_is_refused_before_any_eigensolve(monkeypatch):
+    # epsilon and p are checked ahead of the tau check, the tau-fixed basis
+    # and the Youla form, in every entry point and in verify --epsilon
+    from skewvn.cli import run_verify
+
+    rng = np.random.default_rng(50)
+    q, r = np.linalg.qr(random_complex(rng, 8, 8))
+    un = q * (np.diag(r) / np.abs(np.diag(r)))
+    tau = Conjugation(un @ un.T)
+    m = generate.gen("skew-symmetric", 8, None, 5)
+    runs = (lambda e, p: wvn_decompose(AntilinearOperator(m), e, p),
+            lambda e, p: skew_symmetric_wvn(m @ np.conj(tau.mat), tau, e, p),
+            lambda e, p: kernel_split_wvn(m, Conjugation.standard(8), e, p),
+            lambda e, p: run_verify(m, 1e-10, 1e-10, e, p))
+    eighs = []
+    real = np.linalg.eigh
+
+    def counting(mat, *args, **kwargs):
+        eighs.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for run in runs:
+        for epsilon in (float("nan"), 0.0, -1e-2):
+            with pytest.raises(SkewvnError) as excinfo:
+                run(epsilon, 2.0)
+            assert type(excinfo.value) is SkewvnError
+            assert str(excinfo.value) == f"epsilon must be positive, got {epsilon}"
+        for p in (1.0, math.inf):
+            with pytest.raises(InvalidP) as excinfo:
+                run(1e-2, p)
+            assert str(excinfo.value) == f"the decomposition needs 1 < p < inf, got {p}"
+    assert eighs == []
+    for run in runs:
+        run(1e-2, 2.0)
+    assert eighs
+
+
 def test_wvn_budget_does_not_underflow_on_many_outer_steps():
     # sixteen equal pairs take one outer step each; a budget of epsilon / 2^j
     # fell below the roundoff of step 13 (||K|| = 2.8e-14 >= 1.2e-14), while
