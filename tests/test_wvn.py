@@ -671,17 +671,6 @@ def test_wvn_refuses_epsilon_at_the_roundoff_floor(monkeypatch):
 
 
 def test_wvn_refuses_an_epsilon_that_is_not_positive(monkeypatch):
-    m = generate.gen("skew-symmetric", 8, None, 5)
-    attempts, _ = count_attempts(monkeypatch)
-    for epsilon in (float("nan"), 0.0, -1e-2):
-        with pytest.raises(SkewvnError) as excinfo:
-            wvn_decompose(AntilinearOperator(m), epsilon)
-        assert type(excinfo.value) is SkewvnError
-        assert str(excinfo.value) == f"epsilon must be positive, got {epsilon}"
-    assert attempts == []
-
-
-def test_budget_is_refused_before_any_eigensolve(monkeypatch):
     # epsilon and p are checked ahead of the tau check, the tau-fixed basis
     # and the Youla form, in every entry point and in verify --epsilon
     from skewvn.cli import run_verify
@@ -695,14 +684,8 @@ def test_budget_is_refused_before_any_eigensolve(monkeypatch):
             lambda e, p: skew_symmetric_wvn(m @ np.conj(tau.mat), tau, e, p),
             lambda e, p: kernel_split_wvn(m, Conjugation.standard(8), e, p),
             lambda e, p: run_verify(m, 1e-10, 1e-10, e, p))
-    eighs = []
-    real = np.linalg.eigh
-
-    def counting(mat, *args, **kwargs):
-        eighs.append(mat.shape)
-        return real(mat, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    attempts, _ = count_attempts(monkeypatch)
+    eighs = count_calls(monkeypatch, "eigh", lambda args: args[0].shape, np.linalg)
     for run in runs:
         for epsilon in (float("nan"), 0.0, -1e-2):
             with pytest.raises(SkewvnError) as excinfo:
@@ -713,10 +696,10 @@ def test_budget_is_refused_before_any_eigensolve(monkeypatch):
             with pytest.raises(InvalidP) as excinfo:
                 run(1e-2, p)
             assert str(excinfo.value) == f"the decomposition needs 1 < p < inf, got {p}"
-    assert eighs == []
+    assert attempts == [] and eighs == []
     for run in runs:
         run(1e-2, 2.0)
-    assert eighs
+    assert attempts and eighs
 
 
 def test_wvn_budget_does_not_underflow_on_many_outer_steps():
