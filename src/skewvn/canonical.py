@@ -9,16 +9,15 @@ A = kappa |A| = |A| kappa is read off it: kappa sends e_j -> f_j -> -e_j
 and |A| = U diag(r_1, r_1, r_2, r_2, ..., 0) U*.
 
 Every step is a unitary congruence, so the factorization is backward
-stable.  The eigenvectors W of the Gram matrix M M* (on an exact power-of-two
-prescale) compress M to C = W* M conj(W), which is block-diagonal by
-singular value cluster up to roundoff.  C splits into the contiguous
-diagonal blocks that no entry above COUPLING_EPS * eps * max|C| couples.  A
-2x2 block takes a phase.  A larger block is reduced by skew Householder
-congruence to tridiagonal form (Ward & Gray 1978; Wimmer 2012), a diagonal
-phase makes that real with a nonnegative superdiagonal, and an odd/even
-permutation turns it into a real bidiagonal matrix whose SVD gives the
-pairs.  Pairs with r <= rank_tol * r_max, and the column an odd block leaves
-unpaired, span the numerical kernel.
+stable.  Skew Householder congruences reduce M (on an exact power-of-two
+prescale) to tridiagonal form (Ward & Gray 1978; Wimmer 2012), PANEL
+columns at a time with one rank-(2 PANEL) update of the trailing matrix, as
+LAPACK's zhetrd does (Dongarra, Hammarling & Sorensen 1989).  A diagonal
+phase makes the tridiagonal form real with a nonnegative superdiagonal, and
+an odd/even permutation turns it into a real bidiagonal matrix whose SVD
+gives the pairs.  The reflectors, in compact WY form, carry the pairs back.
+Pairs with r <= rank_tol * r_max, and for odd n the unpaired column, span
+the numerical kernel.
 """
 
 import math
@@ -31,8 +30,7 @@ from .antilinear import Anticonjugation
 from .errors import NotSkewSymmetric, OddKernel
 from .matcore import DEFAULT_TOL, frob
 
-# entries of the compression at most this times eps * max|C| are roundoff
-COUPLING_EPS = 64.0
+PANEL = 32  # columns per panel of the blocked tridiagonalization
 
 K2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # matrix of (x,y) -> (-conj y, conj x)
 
@@ -95,62 +93,50 @@ class PolarResult:
     modulus: np.ndarray
 
 
-def _coupled_blocks(c):
-    """Starts and sizes of the contiguous diagonal blocks of c that no entry
-    above COUPLING_EPS * eps * max|c| crosses."""
-    mag = np.abs(c)
-    big = mag > COUPLING_EPS * np.finfo(float).eps * mag.max(initial=0.0)
-    rows = np.arange(c.shape[0])
-    # the last column each row couples to (the zero diagonal makes it at
-    # least the row itself), and the farthest any row up to it reaches: a
-    # block ends where that is the row itself
-    last = np.where(big, rows, rows[:, None]).max(axis=1, initial=0)
-    ends = np.flatnonzero(np.maximum.accumulate(last) == rows) + 1
-    starts = np.concatenate([[0], ends])[:-1]
-    return starts, ends - starts
-
-
-def _reduce_block(c):
-    """(g, sigma) with g unitary and c = g B g^tr for a k x k skew block c,
-    k >= 3, where B pairs column j with column ceil(k/2) + j at sigma_j; for
-    odd k the column ceil(k/2) - 1 is left unpaired."""
-    k = c.shape[0]
-    c = c.copy()
-    q = np.eye(k, dtype=complex)
-    sub = np.zeros(k - 1, dtype=complex)  # subdiagonal of T = Q c Q^tr
-    for i in range(k - 2):
-        x = c[i + 1 :, i]
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        # H = I - tau v v* with H x = alpha e_1, applied as H c H^tr; for a
-        # skew c, v* c conj(v) = 0 and the trailing update has rank two
-        alpha = -norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
-        sub[i] = alpha
-        v = x.copy()
-        v[0] -= alpha
-        tau = 2.0 / np.vdot(v, v).real
-        trail = c[i + 1 :, i + 1 :]
-        cv = trail @ np.conj(v)
-        trail += tau * (np.outer(v, cv) - np.outer(cv, v))
-        q[i + 1 :] -= tau * np.outer(v, v.conj() @ q[i + 1 :])
-    sub[k - 2] = c[k - 1, k - 2]
-    # D = diag(d) with d_i d_(i+1) t_i = |t_i| makes D T D real, with the
-    # nonnegative superdiagonal |t_i|, t_i = -sub_i
-    t = np.abs(sub)
-    d = np.ones(k, dtype=complex)
-    for i in range(k - 1):
-        if t[i] > 0.0:
-            d[i + 1] = np.conj(d[i] * -sub[i]) / t[i]
-    # rows 0, 2, 4, ... against columns 1, 3, 5, ... of D T D: a real
-    # lower bidiagonal matrix
-    ce, fl = (k + 1) // 2, k // 2
-    bd = np.zeros((ce, fl))
-    bd[np.arange(fl), np.arange(fl)] = t[0::2]
-    bd[np.arange(1, ce), np.arange(ce - 1)] = -t[1::2]
-    x, sigma, yt = np.linalg.svd(bd)
-    z = q.conj().T * np.conj(d)  # c = z (D T D) z^tr
-    return np.hstack([z[:, 0::2] @ x, z[:, 1::2] @ yt.T]), sigma
+def _tridiagonalize(c):
+    """(sub, panels) for a skew c, which it overwrites: Q c Q^tr is skew
+    tridiagonal with the subdiagonal sub, and Q* = P_1 P_2 ... with one
+    P = I - V S V* per panel (lo, V, S), V acting on rows lo + 1 on."""
+    n = c.shape[0]
+    sub = np.zeros(max(n - 1, 0), dtype=complex)
+    panels = []
+    for lo in range(0, n - 2, PANEL):
+        hi = min(lo + PANEL, n - 2)
+        # column j of v: the reflector of column lo + j; with w, the panel's
+        # congruence so far is c + V W^tr - W V^tr; row r of c is row
+        # r - lo - 1 of v and w
+        v = np.zeros((n - lo - 1, hi - lo), dtype=complex)
+        w = np.zeros_like(v)
+        tau = np.zeros(hi - lo)
+        for j in range(hi - lo):
+            i = lo + j
+            x = c[i + 1 :, i] + v[j:, :j] @ w[j - 1, :j] - w[j:, :j] @ v[j - 1, :j]
+            norm = np.linalg.norm(x)
+            if norm == 0.0:
+                continue
+            # H = I - tau v v* with H x = alpha e_1, applied as H c H^tr;
+            # for a skew c, v* c conj(v) = 0, so w = tau c conj(v)
+            alpha = -norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
+            sub[i] = alpha
+            x[0] -= alpha
+            tau[j] = 2.0 / np.vdot(x, x).real
+            v[j:, j] = x
+            cv = np.conj(x)
+            w[j:, j] = tau[j] * (c[i + 1 :, i + 1 :] @ cv + v[j:, :j] @ (w[j:, :j].T @ cv)
+                                 - w[j:, :j] @ (v[j:, :j].T @ cv))
+        vw = v[hi - lo - 1 :] @ w[hi - lo - 1 :].T
+        c[hi:, hi:] += vw
+        c[hi:, hi:] -= vw.T
+        del vw
+        # H_lo ... H_(hi-1) = I - V S V* with S upper triangular (LAPACK larft)
+        g = v.conj().T @ v
+        s = np.diag(tau).astype(complex)
+        for j in range(1, hi - lo):
+            s[:j, j] = -tau[j] * (s[:j, :j] @ g[:j, j])
+        panels.append((lo, v, s))
+    if n >= 2:
+        sub[n - 2] = c[n - 1, n - 2]
+    return sub, panels
 
 
 def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
@@ -165,52 +151,45 @@ def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     m = matcore.require_square(m)
     if not frob(m + m.T) <= tol * (1.0 + frob(m)):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    # exact power-of-two prescale: the Gram matrix of a matrix near 2^+-600
-    # would overflow or underflow, and r scales back exactly
+    n = m.shape[0]
+    # exact power-of-two prescale: the reflector norms of a matrix near
+    # 2^+-600 would overflow or underflow, and r scales back exactly
     shift = matcore.pow2_exponent(m)
-    scale = math.ldexp(1.0, -shift)
-    scaled = m * scale
-    gram = scaled @ scaled.conj().T
-    del scaled  # rebuilt bit for bit below: eigh holds no n x n array of ours but gram
-    gram += gram.conj().T
-    gram /= 2.0
-    w = np.linalg.eigh(gram)[1]
-    del gram
-    # C = W* M' conj(W) = conj(W^tr conj(M') W), from transposed views of W
-    c = w.T @ np.conj(m * scale) @ w
-    np.conj(c, out=c)
+    c = m * math.ldexp(1.0, -shift)
     c -= c.T
     c /= 2.0
-
-    # U = W diag(g_1, g_2, ...) with c = g_i B_i g_i^tr on each block,
-    # formed in place of W
-    starts, sizes = _coupled_blocks(c)
-    two = starts[sizes == 2]
-    top = c[two, two + 1]
-    sigmas = [np.abs(top)]
-    w[:, two] *= np.divide(top, sigmas[0], out=np.ones_like(top), where=sigmas[0] > 0.0)
-    firsts, seconds, unpaired = [two], [two + 1], [starts[sizes == 1]]
-    for lo, k in zip(starts[sizes > 2], sizes[sizes > 2]):
-        g, sigma = _reduce_block(c[lo : lo + k, lo : lo + k])
-        w[:, lo : lo + k] = w[:, lo : lo + k] @ g
-        ce, fl = (k + 1) // 2, k // 2
-        firsts.append(lo + np.arange(fl))
-        seconds.append(lo + ce + np.arange(fl))
-        unpaired.append(np.arange(lo + fl, lo + ce))
-        sigmas.append(sigma)
+    sub, panels = _tridiagonalize(c)
     del c
-
-    first, second, sigma = (np.concatenate(x) for x in (firsts, seconds, sigmas))
-    keep = sigma > rank_tol * sigma.max(initial=0.0)
-    order = np.argsort(-sigma[keep], kind="stable")
-    kernel = np.sort(np.concatenate(unpaired + [first[~keep], second[~keep]]))
-    kernel = kernel.reshape(-1, 2)[:, ::-1].ravel() if kernel.size % 2 == 0 else kernel
-    pairs = np.column_stack([first[keep][order], second[keep][order]]).ravel()
-    return YoulaResult(
-        u=w[:, np.concatenate([pairs, kernel])],
-        r=np.ldexp(sigma[keep][order], shift),
-        kernel_dim=int(kernel.size),
-    )
+    # D = diag(d) with d_i d_(i+1) t_i = |t_i| makes D T D real, with the
+    # nonnegative superdiagonal |t_i|, t_i = -sub_i
+    t = np.abs(sub)
+    d = np.ones(n, dtype=complex)
+    for i in range(n - 1):
+        if t[i] > 0.0:
+            d[i + 1] = np.conj(d[i] * -sub[i]) / t[i]
+    # rows 0, 2, 4, ... against columns 1, 3, 5, ... of D T D: a real
+    # lower bidiagonal matrix X diag(sigma) Y^tr; pair j is X_j on the even
+    # rows and Y_j on the odd rows, the last X column is the unpaired one
+    ce, fl = (n + 1) // 2, n // 2
+    bd = np.zeros((ce, fl))
+    bd[np.arange(fl), np.arange(fl)] = t[0::2]
+    bd[np.arange(1, ce), np.arange(ce - 1)] = -t[1::2]
+    x, sigma, yt = np.linalg.svd(bd)
+    # sigma descends, so the pairs kept are the first; an even kernel is
+    # stored in pairs with Y_j before X_j
+    kept = int(np.count_nonzero(sigma > rank_tol * sigma.max(initial=0.0)))
+    swap = (np.arange(ce) >= kept) & (n % 2 == 0)
+    u = np.zeros((n, n), dtype=complex)
+    u[0::2, 2 * np.arange(ce) + swap] = x
+    u[1::2, 2 * np.arange(fl) + 1 - swap[:fl]] = yt.T
+    del x, yt
+    # M = z (D T D) z^tr with z = Q* conj(D)
+    u *= np.conj(d)[:, None]
+    while panels:  # last panel first, each freed once applied
+        lo, v, s = panels.pop()
+        rows = u[lo + 1 :]
+        rows -= v @ (s @ (v.conj().T @ rows))
+    return YoulaResult(u=u, r=np.ldexp(sigma[:kept], shift), kernel_dim=n - 2 * kept)
 
 
 def polar_factorize(a, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):

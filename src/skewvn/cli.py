@@ -46,6 +46,8 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
         wvn_mod._check_budget(epsilon, p)
     # one factorization for the youla, polar, spectral-measure and wvn lines
     youla = canonical.youla_decompose(m, tol, rank_tol)
+    if epsilon is not None:
+        wvn_mod._check_floor(youla.r, epsilon, p)
     checks.youla(report, m, youla.u, youla.block_matrix(), tol)
 
     try:

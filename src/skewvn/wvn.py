@@ -25,7 +25,7 @@ import numpy as np
 
 from . import matcore
 from .antilinear import AntilinearOperator, is_tau_skew_symmetric, tau_fixed_basis
-from .canonical import COUPLING_EPS, block_skew_matrix, youla_decompose
+from .canonical import block_skew_matrix, youla_decompose
 from .errors import (
     BudgetFailure,
     InvalidP,
@@ -40,6 +40,8 @@ from .schatten import _schatten
 CLUSTER_TOL = 1e-8
 SEED_TOL = 1e-10
 CELL_DROP_TOL = 1e-12
+# a cell whose values spread by at most this times eps * b holds one value
+COUPLING_EPS = 64.0
 N_MAX = 2**20
 # An epsilon at most ROUNDOFF_FLOOR * eps * ||A||_p is refused: the dense
 # step leaves ||K||_2 = 11.5 ... 35 eps ||A||_F of roundoff once its cells
@@ -201,6 +203,18 @@ def _check_budget(epsilon, p):
         raise SkewvnError(f"epsilon must be positive, got {epsilon}")
 
 
+def _check_floor(r, epsilon, p):
+    """Refuse an epsilon at or below ROUNDOFF_FLOOR eps ||A||_p, with
+    ||A||_p read off the Youla pair values r."""
+    norm_a = _schatten(r, p, 2.0)
+    floor = ROUNDOFF_FLOOR * np.finfo(float).eps * norm_a
+    if epsilon <= floor:
+        raise BudgetFailure(
+            f"epsilon {epsilon:.3e} is at or below the roundoff floor {floor:.3e} "
+            f"= {ROUNDOFF_FLOOR:g} eps ||A||_p with ||A||_p = {norm_a:.3e}"
+        )
+
+
 def _swap(x):
     """J x with J = diag([[0, 1], [-1, 0]], ...): the pair form B with r = 1,
     and kappa(x) = J conj(x) in a pair basis."""
@@ -299,15 +313,9 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
         if mismatch > max(tol, 1e-8):
             raise KernelMismatch(f"numerical kernels of T and T* differ: "
                                  f"||P_N(T) - P_N(T*)||_F = {mismatch:.3e}")
+    _check_floor(r, epsilon, p)
     # kept cell i: f_k, kappa f_k in columns 2i, 2i+1 of u, and Y_k in those of y
     v, y = u[:, :paired], np.empty_like(u)
-    norm_a = _schatten(r, p, 2.0)
-    floor = ROUNDOFF_FLOOR * np.finfo(float).eps * norm_a
-    if epsilon <= floor:
-        raise BudgetFailure(
-            f"epsilon {epsilon:.3e} is at or below the roundoff floor {floor:.3e} "
-            f"= {ROUNDOFF_FLOOR:g} eps ||A||_p with ||A||_p = {norm_a:.3e}"
-        )
     kernel_floor = rank_tol * float(r.max(initial=0.0))
     used, d_values = 0, []
     spent = 0.0  # sum of the accepted step norms

@@ -140,26 +140,27 @@ def decompositions(m, tol):
 
 
 def test_non_skew_input_is_refused_before_any_eigensolve(monkeypatch):
-    # one skew test, ||M + M^tr||_F <= tol (1 + ||M||_F), ahead of every
-    # factorization; a NaN tolerance admits nothing
-    eighs = []
-    real = np.linalg.eigh
+    # one skew test, ||M + M^tr||_F <= tol (1 + ||M||_F), ahead of the
+    # Householder reduction; a NaN tolerance admits nothing
+    reductions = []
+    real = canonical._tridiagonalize
 
-    def counting(mat, *args, **kwargs):
-        eighs.append(mat.shape)
-        return real(mat, *args, **kwargs)
+    def counting(c):
+        reductions.append(c.shape)
+        return real(c)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(canonical, "_tridiagonalize", counting)
     near = random_skew(np.random.default_rng(37), 6) + 1e-9 * np.eye(6)
     for m, tol in ((np.eye(2), 1e-10), (np.arange(16.0).reshape(4, 4), 1e-10),
                    (near, 1e-10), (np.array([[0, 1], [-1, 0]], dtype=complex), float("nan"))):
         for run in decompositions(m, tol):
             with pytest.raises(NotSkewSymmetric):
                 run()
-    assert eighs == []
+    assert reductions == []
     for m in (np.array([[0, 1], [-1, 0]], dtype=complex), np.array([[0, 2j], [-2j, 0]]), near):
         for run in decompositions(m, 1e-8):
             run()
+    assert reductions
 
 
 def test_polar_exact_two_by_two():
@@ -213,7 +214,7 @@ def test_polar_kappa_commutes_with_spectral_projections():
 
 
 def test_youla_and_polar_scale_by_powers_of_two():
-    # the Gram matrix of an input near 2^+-600 overflows or underflows
+    # the reflector norms of an input near 2^+-600 overflow or underflow
     # unless it is prescaled; the prescale is exact, so outputs scale exactly
     from skewvn.generate import gen
 

@@ -11,7 +11,7 @@ import pytest
 
 from skewvn import checks, cli, generate
 from skewvn.antilinear import AntilinearOperator, Conjugation
-from skewvn.canonical import polar_factorize, youla_decompose
+from skewvn.canonical import block_skew_matrix, polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
 from skewvn.schatten import schatten_norm
 from skewvn.wvn import skew_symmetric_wvn, spectral_resolution, wvn_decompose
@@ -19,6 +19,11 @@ from skewvn.wvn import skew_symmetric_wvn, spectral_resolution, wvn_decompose
 TOL = 1e-10
 EPSILON = 1e-2
 M = generate.gen("skew-symmetric", 12, None, 3)
+# two pair values 1e-3 apart share a WvN cell, so K carries their spread,
+# ||K||_2 ~ 1e-3, where on M it is roundoff or exactly 0
+NEAR = generate.random_unitary(np.random.default_rng(3), 12)
+NEAR = NEAR @ block_skew_matrix([2.0, 1.2, 1.2 - 1e-3, 0.5, 0.3, 0.1], 12) @ NEAR.T
+NEAR = (NEAR - NEAR.T) / 2.0
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -71,8 +76,8 @@ def test_spectral_measure_lines_fail_on_a_wrong_kappa():
     assert failing(checks.spectral_measure, 2.0 * kappa, res) == set(cells[:4])
 
 
-def wvn_args(result, epsilon=EPSILON):
-    return (M, result.k.mat, result.d.mat, result.u, result.d_values, TOL, epsilon, 2.0)
+def wvn_args(result, epsilon=EPSILON, m=M):
+    return (m, result.k.mat, result.d.mat, result.u, result.d_values, TOL, epsilon, 2.0)
 
 
 def test_wvn_lines_fail_on_their_faults():
@@ -116,36 +121,37 @@ def test_wvn_lines_decompose_k_once(monkeypatch):
     assert len(svds) == 3
 
 
-def skew_wvn():
-    return skew_symmetric_wvn(M, Conjugation.standard(M.shape[0]), EPSILON)
+def skew_wvn(m=M):
+    return skew_symmetric_wvn(m, Conjugation.standard(m.shape[0]), EPSILON)
 
 
 def test_decomposition_lines_fail_on_their_faults():
-    r = skew_wvn()
+    r = skew_wvn(NEAR)
     k, d, u = r.k, r.d, r.u
     for prefix in ("skew_wvn", "decomp"):
-        assert failing(checks.decomposition, prefix, M, k, d, u, TOL, EPSILON) == set()
-        assert failing(checks.decomposition, prefix, M, k, d, bump(u), TOL, EPSILON) == {
+        assert failing(checks.decomposition, prefix, NEAR, k, d, u, TOL, EPSILON) == set()
+        assert failing(checks.decomposition, prefix, NEAR, k, d, bump(u), TOL, EPSILON) == {
             f"{prefix}_unitary", f"{prefix}_reconstruction"}
-        assert failing(checks.decomposition, prefix, M, k, bump(d), u, TOL, EPSILON) == {
+        assert failing(checks.decomposition, prefix, NEAR, k, bump(d), u, TOL, EPSILON) == {
             f"{prefix}_block_structure", f"{prefix}_reconstruction"}
         symmetric = bump(bump(k, 0, 3), 3, 0)  # adds to K + K^tr
-        assert failing(checks.decomposition, prefix, M, symmetric, d, u, TOL, EPSILON) == {
+        assert failing(checks.decomposition, prefix, NEAR, symmetric, d, u, TOL, EPSILON) == {
             f"{prefix}_k_skew", f"{prefix}_reconstruction"}
-        assert failing(checks.decomposition, prefix, M, k, d, u, TOL, 1e-20) == {
+        assert failing(checks.decomposition, prefix, NEAR, k, d, u, TOL, 1e-20) == {
             f"{prefix}_k_norm"}
 
 
 def test_budget_lines_fail_when_the_norm_equals_epsilon():
-    r = skew_wvn()
+    r = skew_wvn(NEAR)
     norm = schatten_norm(r.k, 2.0)
-    assert norm > 0.0
+    assert norm > 1e-6
     for prefix in ("skew_wvn", "decomp"):
-        assert failing(checks.decomposition, prefix, M, r.k, r.d, r.u, TOL, norm) == {
+        assert failing(checks.decomposition, prefix, NEAR, r.k, r.d, r.u, TOL, norm) == {
             f"{prefix}_k_norm"}
-    result = wvn_decompose(AntilinearOperator(M), EPSILON)
-    args = wvn_args(result, epsilon=schatten_norm(result.k, 2.0))
-    assert failing(checks.wvn, *args) == {"wvn_norm_budget"}
+    result = wvn_decompose(AntilinearOperator(NEAR), EPSILON)
+    norm = schatten_norm(result.k, 2.0)
+    assert norm > 1e-6
+    assert failing(checks.wvn, *wvn_args(result, epsilon=norm, m=NEAR)) == {"wvn_norm_budget"}
 
 
 @pytest.mark.parametrize("shift", [-600, 0, 600])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewvn import canonical, cli, cmatio, generate, wvn
+from skewvn import canonical, checks, cli, cmatio, generate, wvn
 from skewvn.cli import VerificationReport, main, run_verify
 from skewvn.errors import InvalidRank, ParseError
 
@@ -229,8 +229,12 @@ def test_run_verify_factorizes_once(monkeypatch):
         calls.append(mat.shape)
         return real(mat, *args, **kwargs)
 
-    eigensolves = []
-    real_eigh = np.linalg.eigh
+    reductions, eigensolves = [], []
+    real_reduce, real_eigh = canonical._tridiagonalize, np.linalg.eigh
+
+    def counting_reduce(c):
+        reductions.append(c.shape)
+        return real_reduce(c)
 
     def counting_eigh(mat):
         eigensolves.append(mat.shape)
@@ -238,18 +242,20 @@ def test_run_verify_factorizes_once(monkeypatch):
 
     monkeypatch.setattr(canonical, "youla_decompose", counting)
     monkeypatch.setattr(wvn, "youla_decompose", counting)
+    monkeypatch.setattr(canonical, "_tridiagonalize", counting_reduce)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     m = generate.gen("skew-symmetric", 8, None, 5)
     # with epsilon the WvN loop refines that form in place: its cell
     # complements add eigensolves of blocks of half a cell, no n x n one
-    for epsilon, line, counted in ((None, "g_additive", lambda s: True),
-                                   (1e-2, "wvn_norm_budget", lambda s: s == (8, 8))):
+    for epsilon, line in ((None, "g_additive"), (1e-2, "wvn_norm_budget")):
         calls.clear()
+        reductions.clear()
         eigensolves.clear()
         report, code = run_verify(m, 1e-10, 1e-10, epsilon)
         assert code == 0
         assert calls == [(8, 8)]
-        assert [s for s in eigensolves if counted(s)] == [(8, 8)]
+        assert reductions == [(8, 8)]
+        assert (8, 8) not in eigensolves
         assert line in {name for name, *_ in report.checks}
 
 
@@ -414,6 +420,21 @@ def test_cli_wvn_refuses_epsilon_at_the_roundoff_floor(tmp_path, capsys):
     code = main(["wvn", str(path), "--epsilon", "1e-3", "--out-prefix", str(tmp_path / "o")])
     assert code == 2
     assert "roundoff floor" in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_epsilon_at_the_roundoff_floor_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    # the floor needs only ||r||_p, so verify --epsilon tests it right after
+    # the Youla form, ahead of the youla, polar and g lines
+    ran = []
+    for name in ("youla", "polar", "spectral_measure", "wvn"):
+        monkeypatch.setattr(checks, name, lambda *args, name=name: ran.append(name))
+    path = tmp_path / "huge.cmat"
+    cmatio.write_cmat(path, generate.gen("skew-symmetric", 16, None, 1) * 1e150)
+    assert main(["verify", str(path), "--epsilon", "1e-3"]) == 2
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert "error: epsilon 1.000e-03 is at or below the roundoff floor" in err
 
 
 def test_cli_odd_kernel_exit(tmp_path):

@@ -12,6 +12,7 @@ from skewvn import checks, generate
 from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn.canonical import block_skew_matrix, polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
+from skewvn.matcore import frob
 from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, spectral_resolution, wvn_decompose
 
 TOL = 1e-10
@@ -73,6 +74,21 @@ def test_corpus_wvn_and_skew_wvn(family, n):
     assert report.all_pass, report.render()
 
 
+BUILDERS = {"generic": lambda n, seed: generate.gen("skew-symmetric", n, None, seed),
+            "kernel-heavy": kernel_heavy, **FAMILIES}
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+@pytest.mark.parametrize("n", [64, 256])
+def test_youla_backward_error_is_near_eps(family, n):
+    # every step is a unitary congruence: ||M - U B U^tr||_F stays within
+    # 8 sqrt(n) eps ||M||_F on every family, with no rank cut to hide behind
+    m = BUILDERS[family](n, 3)
+    youla = youla_decompose(m, rank_tol=0.0)
+    residual = frob(m - youla.u @ youla.block_matrix() @ youla.u.T)
+    assert residual <= 8.0 * np.sqrt(n) * np.finfo(float).eps * frob(m)
+
+
 def test_corpus_graded_kernel_is_the_rank_cut():
     # values below rank_tol * r_max are kernel, and only those
     m = graded(48, 48)
@@ -132,14 +148,15 @@ WORKING_SET_OPS = {
     "skew-wvn": lambda m: skew_symmetric_wvn(m, Conjugation.standard(m.shape[0]), EPSILON),
     "kernel-split": lambda m: kernel_split_wvn(m, Conjugation.standard(m.shape[0]), EPSILON),
 }
-# (family, op, bound): Youla's eigh needs its input and its output W; the
+# (family, op, bound): Youla's Householder reduction holds the reduced copy
+# of its input and one rank-(2 PANEL) update, then U and one WY product; the
 # WvN basis is written over the Youla basis and Y into one more array, so
-# generic wvn stays at Youla's peak and skew-wvn one array above.  Clustered
+# generic wvn stays near 3.2 and skew-wvn one array above.  Clustered
 # inputs keep larger per-cell complements, so their bound is the peak
-# before K, D and the basis were preallocated.  A graded input's Youla form
-# holds one big coupled block; its cell complements add no more than that.
-# kernel-split reads its kernel off the same Youla form, so it stays at the
-# skew-wvn bound; the odd-kernel input has n = 257 and rank 128.
+# before K, D and the basis were preallocated.  A graded input's cell
+# complements hold most of the spectrum at the first steps.  kernel-split
+# reads its kernel off the same Youla form, so it stays at the skew-wvn
+# bound; the odd-kernel input has n = 257 and rank 128.
 WORKING_SET = [
     ("generic", "youla", 4.5),
     ("generic", "wvn", 3.5),
@@ -156,10 +173,8 @@ WORKING_SET = [
 
 @pytest.mark.parametrize("family, op, bound", WORKING_SET)
 def test_working_set_stays_at_the_eigensolver_floor(family, op, bound):
-    build = {"generic": lambda n, seed: generate.gen("skew-symmetric", n, None, seed),
-             "kernel-heavy": kernel_heavy,
-             "odd-kernel": lambda n, seed: generate.gen(
+    build = {"odd-kernel": lambda n, seed: generate.gen(
                  "tau-skew-symmetric-with-kernel", n + 1, n // 2, seed),
-             **FAMILIES}[family]
+             **BUILDERS}[family]
     m = build(256, 3)
     assert traced_peak(WORKING_SET_OPS[op], m) <= bound

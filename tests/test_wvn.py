@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skewvn import checks, generate, wvn
+from skewvn import canonical, checks, generate, wvn
 from skewvn.antilinear import (
     AntilinearOperator,
     Conjugation,
@@ -434,18 +434,13 @@ def test_kernel_split_kernel_mismatch():
 
 
 def test_kernel_split_factors_once(monkeypatch):
-    # one Youla form per call, and no SVD: the kernel is read off it
-    calls = {"youla": 0, "svd": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(wvn, "youla_decompose", counted("youla", wvn.youla_decompose))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    # one Youla form per call, one Householder reduction and no n x n SVD:
+    # the kernel is read off that form (Youla's own SVD is of the half-size
+    # real bidiagonal)
+    youla = count_calls(monkeypatch, "youla_decompose", lambda args: args[0].shape)
+    reductions = count_calls(monkeypatch, "_tridiagonalize", lambda args: args[0].shape,
+                             canonical)
+    svds = count_calls(monkeypatch, "svd", lambda args: args[0].shape, np.linalg)
     padded = np.zeros((14, 14), dtype=complex)
     padded[:10, :10] = random_skew(np.random.default_rng(52), 10)
     inputs = [
@@ -454,9 +449,11 @@ def test_kernel_split_factors_once(monkeypatch):
         generate.gen("tau-skew-symmetric-with-kernel", 21, 16, 6),  # odd kernel
     ]
     for t in inputs:
-        calls.update(youla=0, svd=0)
+        for calls in (youla, reductions, svds):
+            calls.clear()
         kernel_split_wvn(t, Conjugation.standard(t.shape[0]), 1e-2)
-        assert calls == {"youla": 1, "svd": 0}
+        assert youla == reductions == [t.shape]
+        assert t.shape not in svds
 
 
 def test_block_skew_matrix():
@@ -685,7 +682,8 @@ def test_wvn_refuses_an_epsilon_that_is_not_positive(monkeypatch):
             lambda e, p: kernel_split_wvn(m, Conjugation.standard(8), e, p),
             lambda e, p: run_verify(m, 1e-10, 1e-10, e, p))
     attempts, _ = count_attempts(monkeypatch)
-    eighs = count_calls(monkeypatch, "eigh", lambda args: args[0].shape, np.linalg)
+    reductions = count_calls(monkeypatch, "_tridiagonalize", lambda args: args[0].shape,
+                             canonical)
     for run in runs:
         for epsilon in (float("nan"), 0.0, -1e-2):
             with pytest.raises(SkewvnError) as excinfo:
@@ -696,10 +694,10 @@ def test_wvn_refuses_an_epsilon_that_is_not_positive(monkeypatch):
             with pytest.raises(InvalidP) as excinfo:
                 run(1e-2, p)
             assert str(excinfo.value) == f"the decomposition needs 1 < p < inf, got {p}"
-    assert attempts == [] and eighs == []
+    assert attempts == [] and reductions == []
     for run in runs:
         run(1e-2, 2.0)
-    assert attempts and eighs
+    assert attempts and reductions
 
 
 def test_wvn_budget_does_not_underflow_on_many_outer_steps():
@@ -806,6 +804,8 @@ def test_generic_wvn_factors_once_and_forms_no_dense_step(monkeypatch):
     a = AntilinearOperator(generate.gen("skew-symmetric", n, None, 7))
     attempts, dense = count_attempts(monkeypatch)
     youla = count_calls(monkeypatch, "youla_decompose", lambda args: args[0].shape)
+    reductions = count_calls(monkeypatch, "_tridiagonalize", lambda args: args[0].shape,
+                             module=canonical)
     solvers = {  # shapes of the SVDs and eigensolves
         name: count_calls(monkeypatch, name, lambda args: args[0].shape, module=np.linalg)
         for name in ("svd", "eigh", "eig", "eigvals", "eigvalsh")
@@ -815,9 +815,11 @@ def test_generic_wvn_factors_once_and_forms_no_dense_step(monkeypatch):
     assert len(accepted_per_step(attempts)) == 1
     assert dense == []
     assert youla == [(n, n)]
-    # Youla's eigensolve of the Gram matrix is the only n x n one
+    # Youla's Householder reduction is the one n x n factorization: no
+    # SVD or eigensolve of an n x n array follows it
+    assert reductions == [(n, n)]
     square = [name for name, shapes in solvers.items() for shape in shapes if shape == (n, n)]
-    assert square == ["eigh"]
+    assert square == []
     # one outer step: the sum of the step norms is ||K||_p
     assert result.achieved_norm < 1e-2
     assert abs(result.achieved_norm - schatten_norm(result.k, 2.0)) <= roundoff(a.mat)
