@@ -245,9 +245,14 @@ def test_run_verify_factorizes_once(monkeypatch):
     monkeypatch.setattr(canonical, "_tridiagonalize", counting_reduce)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     m = generate.gen("skew-symmetric", 8, None, 5)
-    # with epsilon the WvN loop refines that form in place: its cell
-    # complements add eigensolves of blocks of half a cell, no n x n one
-    for epsilon, line in ((None, "g_additive"), (1e-2, "wvn_norm_budget")):
+    # plain verify makes no eigensolve at all; with epsilon the WvN loop
+    # refines that form in place: its cell complements add eigensolves of
+    # blocks of half a cell, no n x n one
+    cases = (
+        (None, "g_additive", lambda solves: solves == []),
+        (1e-2, "wvn_norm_budget", lambda solves: (8, 8) not in solves),
+    )
+    for epsilon, line, eigensolves_ok in cases:
         calls.clear()
         reductions.clear()
         eigensolves.clear()
@@ -255,7 +260,7 @@ def test_run_verify_factorizes_once(monkeypatch):
         assert code == 0
         assert calls == [(8, 8)]
         assert reductions == [(8, 8)]
-        assert (8, 8) not in eigensolves
+        assert eigensolves_ok(eigensolves), eigensolves
         assert line in {name for name, *_ in report.checks}
 
 
