@@ -36,6 +36,8 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     checks.skew_symmetry(report, m, tol)
     if not report.all_pass:
         return report, 1
+    if epsilon is not None:
+        wvn_mod._check_epsilon(epsilon)  # a given decomposition admits --p inf
 
     if decomp is not None:
         k, d, u = decomp
@@ -211,7 +213,7 @@ def main(argv=None):
     try:
         _check_tolerances(args)
         return _COMMANDS[args.command](args)
-    except (SkewvnError, OSError) as exc:
+    except (SkewvnError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,10 +19,7 @@ def singular_values(a):
     they are computed by SVD, which resolves small values far better than
     the square root of the Gram spectrum would.
     """
-    if isinstance(a, AntilinearOperator):
-        mat = a.mat
-    else:
-        mat = np.asarray(a, dtype=complex)
+    mat = a.mat if isinstance(a, AntilinearOperator) else np.asarray(a, dtype=complex)
     return np.linalg.svd(mat, compute_uv=False)
 
 
@@ -34,10 +31,8 @@ def schatten_norm(a, p):
     if not (p > 1):
         raise InvalidP(f"Schatten norm needs p > 1, got {p}")
     s = singular_values(a)
-    if s.size == 0:
-        return 0.0
     if math.isinf(p):
-        return float(s[0])
+        return float(np.max(s, initial=0.0))
     return _schatten(s, p)
 
 

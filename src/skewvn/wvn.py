@@ -10,12 +10,13 @@ A once, with Youla, and takes every step in that basis, where A is the pair
 form B and kappa swaps each pair: the step is block-diagonal by cell, its
 ||K||_p and the value d_k of each captured pair are per-cell sums, and the
 rest of a kept cell, the complement of (f_k, kappa f_k) there, is again a
-pair basis after one real eigensolve of |A| on it.  Kept cells write
-(f_k, kappa f_k) over Youla columns already read and Y_k into one n x n
-array, which give K, D and the basis at the end; the kernel left closes the
-basis, d = 0.  The linear corollaries run the same loop on T in a tau-fixed
-basis: ``kernel_split_wvn`` reads N(T) off the same Youla form and leaves
-it unpaired, last in U.
+pair basis after one real eigensolve of |A| on it.  A kept cell of one
+value up to roundoff is captured whole, with K = 0 there: E(omega_k)
+reduces A and its Youla pairs are D-blocks.  Kept cells write their pairs
+over Youla columns already read and Y_k into one n x n array, which give K,
+D and the basis; the kernel left closes the basis, d = 0.  The linear
+corollaries run the same loop on T in a tau-fixed basis: ``kernel_split_wvn``
+reads N(T) off the same Youla form and leaves it unpaired, last in U.
 """
 
 import math
@@ -92,8 +93,8 @@ class StepResult:
 
 @dataclass(frozen=True)
 class WvnResult:
-    """``achieved_norm`` is the sum of the outer steps' ||K_step||_p, which
-    bounds ||K||_p and equals it when one outer step suffices."""
+    """``achieved_norm``, the sum of the outer steps' attempt norms, bounds
+    ||K||_p; a cell captured whole has K = 0 but its roundoff counts."""
 
     k: AntilinearOperator
     d: AntilinearOperator
@@ -199,6 +200,11 @@ def _check_budget(epsilon, p):
     """Refuse p outside (1, inf) or epsilon <= 0 before any factorization."""
     if not (1 < p < math.inf):
         raise InvalidP(f"the decomposition needs 1 < p < inf, got {p}")
+    _check_epsilon(epsilon)
+
+
+def _check_epsilon(epsilon):
+    """Refuse an epsilon that is not positive, NaN included."""
     if not epsilon > 0:
         raise SkewvnError(f"epsilon must be positive, got {epsilon}")
 
@@ -240,27 +246,16 @@ def _step_norm(lam, cut, p):
     return math.ldexp(_schatten(np.sqrt(var), p, 4.0), shift), np.ldexp(d, shift)
 
 
-def _cell_complement(v, lam, fg, b):
-    """Pair basis and values of the complement of fg = [f_k, kappa f_k] in a
-    cell with the columns v and values lam.  If lam is one value up to
-    roundoff (COUPLING_EPS * eps * b), B is that value times J there and the
-    reflection H = I - 2 W W*, W = [w, kappa w], which commutes with kappa and
-    maps the seed's largest pair into span(fg), keeps the other pairs.  Else
-    the rotation [[a, -conj b], [b, conj a]] / rho of each pair (E, F), with
-    (a, b) the seed's coefficients there, commutes with kappa and lam and
-    takes the seed to E rho; the complement is E X, F X for the real X that
-    diagonalizes H^tr diag(lam) H, H spanning rho^perp (Golub 1973)."""
-    if lam[0] - lam[-1] <= COUPLING_EPS * np.finfo(float).eps * b:
-        phi, g = fg.T
-        j = 2 * int(np.argmax(np.abs(phi[0::2]) ** 2 + np.abs(phi[1::2]) ** 2))
-        # y in span(phi, g) with y_j = |(phi_j, phi_j+1)| and y_j+1 = 0
-        y = (np.conj(phi[j]) * phi + phi[j + 1] * g) / np.hypot(abs(phi[j]), abs(phi[j + 1]))
-        y[j] += 1.0  # w = (e_j + y) / ||e_j + y||, so that H e_j = -y
-        w = np.column_stack([y, _swap(np.conj(y))]) / np.linalg.norm(y)
-        rest = np.r_[0:j, j + 2 : lam.size]
-        return v[:, rest] - 2.0 * (v @ w) @ w[rest].conj().T, lam[rest[0::2]]
-    rho = np.hypot(np.abs(fg[0::2, 0]), np.abs(fg[1::2, 0]))
-    al, be = fg[:, 0].reshape(-1, 2).T / np.where(rho > 0.0, rho, 1.0)
+def _cell_complement(v, lam, phi):
+    """Pair basis and values of the complement of [f_k, kappa f_k] in a cell
+    with the columns v, the values lam, not one value, and the seed
+    coefficients phi of f_k.  The rotation [[a, -conj b], [b, conj a]] / rho
+    of each pair (E, F), with (a, b) the seed's coefficients there, commutes
+    with kappa and lam and takes the seed to E rho; the complement is E X,
+    F X for the real X that diagonalizes H^tr diag(lam) H, H spanning
+    rho^perp (Golub 1973)."""
+    rho = np.hypot(np.abs(phi[0::2]), np.abs(phi[1::2]))
+    al, be = phi.reshape(-1, 2).T / np.where(rho > 0.0, rho, 1.0)
     al += rho == 0.0  # the identity on a pair the seed misses
     rot = np.empty((lam.size, v.shape[0]), dtype=complex)  # rows: rotated E, F
     rot[0::2] = al[:, None] * v[:, 0::2].T + be[:, None] * v[:, 1::2].T
@@ -280,12 +275,13 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     with the first standard basis vector not yet captured, doubling the
     cells until the step fits half of the budget left, (epsilon - spent) / 2,
     until the rest is below rank_tol * ||A||, numerical kernel paired with
-    d = 0.  Each kept cell captures (f_k, kappa f_k) with
-    d_k = <kappa f_k, A f_k>.  D = A + sum of the steps and K = -sum, so
-    A - K - D vanishes exactly.  Raises NotSkewSymmetric as
-    ``youla_decompose`` does, OddKernel for an odd numerical kernel, and
-    BudgetFailure when epsilon <= ROUNDOFF_FLOOR eps ||A||_p or finer cells
-    cannot change a step that misses its budget.
+    d = 0.  Each kept cell captures (f_k, kappa f_k) with d_k = <kappa f_k,
+    A f_k>, or all of E(omega_k), with its Youla values and K = 0 there, if
+    it holds more than one pair of one value up to COUPLING_EPS eps ||A||.
+    D = A + sum of the steps and K = -sum, so A - K - D vanishes exactly.
+    Raises NotSkewSymmetric as ``youla_decompose`` does, OddKernel for an
+    odd numerical kernel, and BudgetFailure when epsilon <= ROUNDOFF_FLOOR
+    eps ||A||_p or finer cells cannot change a step that misses its budget.
     """
     _check_budget(epsilon, p)
     k, u, d_values, spent = _wvn(youla_decompose(a.mat, tol, rank_tol), epsilon, p, tol,
@@ -317,7 +313,7 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
     # kept cell i: f_k, kappa f_k in columns 2i, 2i+1 of u, and Y_k in those of y
     v, y = u[:, :paired], np.empty_like(u)
     kernel_floor = rank_tol * float(r.max(initial=0.0))
-    used, d_values = 0, []
+    used, d_values = 0, np.zeros(r.size)  # the kernel left keeps d = 0
     spent = 0.0  # sum of the accepted step norms
     step = 0
     while v.shape[1] > 0 and (step == 0 or r[0] > kernel_floor):
@@ -346,22 +342,30 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
         spent += norm
 
         # cells are runs of columns, as lam descends; the cells the seed
-        # missed keep their pairs, each other one leaves its own complement
+        # missed keep their pairs, a cell of one value is captured whole and
+        # each other one leaves its own complement
         phi, g, dev = cut.phi, _swap(np.conj(cut.phi)), lam - d[cut.cell]
         x = np.column_stack([phi, g, dev * g, -dev * phi])
         starts = np.flatnonzero(np.diff(cut.cell, prepend=-1))
         kept = np.isin(cut.cell[starts], cut.kept)
-        d_values.append(d[cut.cell[starts[kept]]])
         rest = ~np.isin(cut.cell, cut.kept)
-        v_parts, r_parts = [v[:, rest]], [r[rest[0::2]]]
+        parts = [(v[:, rest], r[rest[0::2]])]  # (pair basis, values) of the next complement
+        one_value = COUPLING_EPS * np.finfo(float).eps * res.b
+        # used <= lo, kept cells spanning >= 2 columns: only read columns of v change
         for lo, hi in zip(starts[kept], np.append(starts[1:], lam.size)[kept]):
+            if hi - lo > 2 and lam[lo] - lam[hi - 1] <= one_value:
+                # E(omega_k) reduces A, Y_k = 0; kappa maps u's column 2i to
+                # 2i+1, so pairs swap, by a fancy index that copies: v views u at step 1
+                new = slice(used, used + hi - lo)
+                u[:, new], y[:, new] = v[:, lo:hi][:, np.arange(hi - lo) ^ 1], 0.0
+                d_values[used // 2 : new.stop // 2], used = lam[lo:hi:2], new.stop
+                continue
             if hi - lo > 2:
-                vb, rb = _cell_complement(v[:, lo:hi], lam[lo:hi], x[lo:hi, :2], res.b)
-                v_parts.append(vb)
-                r_parts.append(rb)
-            # used <= lo, kept cells spanning >= 2 columns: only read columns of v change
+                parts.append(_cell_complement(v[:, lo:hi], lam[lo:hi], phi[lo:hi]))
             u[:, used : used + 2], y[:, used : used + 2] = np.hsplit(v[:, lo:hi] @ x[lo:hi], 2)
+            d_values[used // 2] = d[cut.cell[lo]]
             used += 2
+        v_parts, r_parts = zip(*parts)
         r = np.concatenate(r_parts)
         order = np.argsort(-r, kind="stable")
         v = np.hstack(v_parts)[:, (2 * order[:, None] + np.arange(2)).ravel()]
@@ -373,7 +377,6 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
     k_total -= k_total.T
     # the kernel left over pairs column 2j+1 with column 2j, d = 0
     u[:, used:paired:2], u[:, used + 1 : paired : 2] = v[:, 1::2], v[:, 0::2]
-    d_values = np.concatenate(d_values + [np.zeros(v.shape[1] // 2)])
     return np.negative(k_total, out=k_total), u, d_values, spent
 
 

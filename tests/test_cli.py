@@ -366,6 +366,38 @@ def test_cli_verify_refuses_a_decomposition_of_another_shape(tmp_path, capsys):
     assert f"{prefix}.U.cmat has shape (4, 4)" in err and "(6, 6)" in err
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1e-2", "nan"])
+def test_cli_verify_decomposition_refuses_an_epsilon_that_is_not_positive(
+        tmp_path, capsys, epsilon):
+    mpath, prefix = str(tmp_path / "m.cmat"), str(tmp_path / "sw")
+    main(["gen", "--kind", "skew-symmetric", "--dim", "6", "--seed", "2", "--out", mpath])
+    assert main(["skew-wvn", mpath, "--epsilon", "1e-2", "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    assert main(["verify", mpath, "--decomp-prefix", prefix, f"--epsilon={epsilon}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"error: epsilon must be positive, got {float(epsilon)}" in err
+    # the norm of a given K admits p = inf
+    assert main(["verify", mpath, "--decomp-prefix", prefix, "--epsilon", "1e-2",
+                 "--p", "inf"]) == 0
+
+
+def test_cli_maps_a_failed_allocation_to_exit_2(tmp_path, capsys):
+    # both arrays lie beyond the 128 TiB user address space, so numpy fails
+    # at once, whatever the overcommit setting, and no memory is touched
+    out = tmp_path / "x.cmat"
+    assert main(["gen", "--kind", "skew-symmetric", "--dim", str(10**9),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+    wide = tmp_path / "wide.cmat"
+    wide.write_text(f"CMAT v1 1 {10**13}\n0,0\n")
+    assert main(["verify", str(wide)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_input_errors(tmp_path):
     bad = tmp_path / "bad.cmat"
     bad.write_text("CMAT v2 2 2\n0,0 0,0\n0,0 0,0\n")

@@ -151,9 +151,9 @@ WORKING_SET_OPS = {
 # (family, op, bound): Youla's Householder reduction holds the reduced copy
 # of its input and one rank-(2 PANEL) update, then U and one WY product; the
 # WvN basis is written over the Youla basis and Y into one more array, so
-# generic wvn stays near 3.2 and skew-wvn one array above.  Clustered
-# inputs keep larger per-cell complements, so their bound is the peak
-# before K, D and the basis were preallocated.  A graded input's cell
+# generic wvn stays near 3.2 and skew-wvn one array above.  A cell of one
+# value is captured whole, with no complement, so clustered and kernel-heavy
+# wvn (whose kernel is one such cell) stay there too.  A graded input's cell
 # complements hold most of the spectrum at the first steps.  kernel-split
 # reads its kernel off the same Youla form, so it stays at the skew-wvn
 # bound; the odd-kernel input has n = 257 and rank 128.
@@ -162,8 +162,8 @@ WORKING_SET = [
     ("generic", "wvn", 3.5),
     ("generic", "skew-wvn", 4.5),
     ("near-degenerate", "wvn", 4.5),
-    ("kernel-heavy", "wvn", 5.0),
-    ("clustered", "wvn", 9.1),
+    ("kernel-heavy", "wvn", 3.5),
+    ("clustered", "wvn", 3.5),
     ("graded", "wvn", 6.0),
     ("graded", "skew-wvn", 7.0),
     ("generic", "kernel-split", 4.5),

@@ -753,8 +753,12 @@ def test_step_norm_estimate_matches_dense_norm():
 
 def dense_accepted_cells(a, epsilon, p=2.0):
     """The outer loop of dense steps: the accepted cells of each outer step,
-    K, and the d-values, from one more Youla form of each captured block."""
+    K, and the d-values, from one more Youla form of each captured block.
+    A kept cell of more than one pair whose Youla values are one up to
+    COUPLING_EPS eps b is captured whole: P takes E(omega_k) there in place
+    of (f_k, kappa f_k), and K = -(I-P)AP - PA(I-P) of that P."""
     n = a.dim
+    eps = np.finfo(float).eps
     k_total = np.zeros((n, n), dtype=complex)
     w = np.eye(n, dtype=complex)
     accepted, blocks = [], []
@@ -765,7 +769,8 @@ def dense_accepted_cells(a, epsilon, p=2.0):
         if seeds.size == 0:
             break
         kappa = polar_factorize(sub).kappa
-        res = spectral_resolution(youla_decompose(sub.mat))
+        youla = youla_decompose(sub.mat)
+        res = spectral_resolution(youla)
         # each step gets half of the budget left
         budget = (epsilon - spent) / 2.0
         cells = 4
@@ -777,8 +782,20 @@ def dense_accepted_cells(a, epsilon, p=2.0):
             cells *= 2
         accepted.append(cells)
         spent += norm
-        k_total = k_total + w @ step.k.mat @ w.T
-        evals, evecs = np.linalg.eigh(step.p)
+        lam = np.concatenate([np.repeat(youla.r, 2), np.zeros(youla.kernel_dim)])
+        cluster_cell = res.cells(cells)
+        whole = np.zeros(cluster_cell.size, dtype=bool)  # clusters captured whole
+        for k in step.kept_cells:
+            cols = cluster_cell[res.cluster_of] == k
+            if cols.sum() > 2 and np.ptp(lam[cols]) <= wvn.COUPLING_EPS * eps * res.b:
+                whole |= cluster_cell == k
+        e = res.projection(whole)
+        proj = step.p - e @ step.p @ e + e
+        ident = np.eye(sub.dim)
+        k_step = (-(ident - proj) @ sub.mat @ np.conj(proj)
+                  - proj @ sub.mat @ np.conj(ident - proj))
+        k_total = k_total + w @ k_step @ w.T
+        evals, evecs = np.linalg.eigh(proj)
         blocks.append(w @ evecs[:, evals > 0.5])
         w = w @ evecs[:, evals <= 0.5]
     d_mat = a.mat + k_total
@@ -835,7 +852,9 @@ def test_wvn_factors_once_per_outer_step(monkeypatch):
     m = u @ block_skew_matrix(np.repeat([2.0, 1.5, 1.0, 0.5], 4), 32) @ u.T
     result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-2)
     assert result.achieved_norm < 1e-2
-    assert len(accepted_per_step(attempts)) > 1
+    # four values: every kept cell holds one and is captured whole, K = 0
+    assert len(accepted_per_step(attempts)) == 1
+    assert not np.any(result.k.mat)
     assert youla == [32] and resolutions == []
     # ten distinct values: cells of several values leave complements
     del youla[:], attempts[:]
@@ -917,8 +936,8 @@ def test_cell_complement_matches_a_youla_form_of_the_compression():
         lam, b = np.repeat(r, 2), float(r[0])
         v = generate.random_unitary(np.random.default_rng(m), m)
         fg = np.column_stack([phi, wvn._swap(np.conj(phi))])
-        assert lam[0] - lam[-1] > wvn.COUPLING_EPS * eps * b  # not the reflection
-        out, mu = wvn._cell_complement(v, lam, fg, b)
+        assert lam[0] - lam[-1] > wvn.COUPLING_EPS * eps * b  # not one value
+        out, mu = wvn._cell_complement(v, lam, phi)
         reference = youla_cell_values(lam, fg)
         assert out.shape == (m, m - 2) and mu.shape == (r.size - 1,)
         assert np.all(mu[:-1] >= mu[1:]) and np.all(mu >= 0.0)
