@@ -5,10 +5,8 @@ certified Schatten p-norm budget.
 """
 
 from .antilinear import (
-    Anticonjugation,
     AntilinearOperator,
     Conjugation,
-    is_tau_skew_symmetric,
     make_anticonjugation,
     tau_fixed_basis,
     tau_transpose,

@@ -1,13 +1,14 @@
-"""Antilinear operators, conjugations and anticonjugations.
+"""Antilinear operators and conjugations.
 
 An antilinear operator is stored by the matrix of its composition with
 entrywise conjugation: ``A(x) = mat @ conj(x)``.  With this convention the
 antilinear adjoint is exactly the transpose, and skew-self-adjointness is
 exactly complex skew-symmetry of ``mat``.  For a skew-self-adjoint A,
 ``canonical.youla_decompose`` gives the modulus |A| = (A# A)^(1/2) together
-with the anticonjugation of its polar factorization.  A linear T and a
-conjugation tau give the antilinear T o tau, with the matrix T C; the
-transpose of T in a tau-fixed basis is the matrix of tau o T* o tau.
+with the anticonjugation of its polar factorization, an AntilinearOperator.
+A linear T and a conjugation tau give the antilinear T o tau, with the
+matrix T C; T is tau-skew exactly when its matrix in a tau-fixed basis is
+skew, and its transpose there is the matrix of tau o T* o tau.
 """
 
 from dataclasses import dataclass
@@ -89,36 +90,9 @@ class Conjugation:
         return frob(self.mat - np.eye(self.dim)) <= tol
 
 
-@dataclass(frozen=True)
-class Anticonjugation:
-    """Antilinear isometry squaring to -I; exists only in even dimension."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        k = matcore.require_square(self.mat)
-        object.__setattr__(self, "mat", k)
-        n = k.shape[0]
-        if n % 2 != 0:
-            raise OddDimension("anticonjugations need even dimension")
-        bound = DEFAULT_TOL * max(1.0, np.sqrt(n))
-        if frob(k.conj().T @ k - np.eye(n)) > bound:
-            raise SkewvnError("anticonjugation matrix is not unitary")
-        if frob(k @ np.conj(k) + np.eye(n)) > bound:
-            raise SkewvnError("anticonjugation does not square to -I")
-        if frob(k + k.T) > bound:
-            raise SkewvnError("anticonjugation matrix is not skew-symmetric")
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def __call__(self, x):
-        return self.mat @ np.conj(np.asarray(x, dtype=complex))
-
-
 def make_anticonjugation(pairs):
-    """Anticonjugation sending e_j -> f_j and f_j -> -e_j.
+    """Anticonjugation sending e_j -> f_j and f_j -> -e_j, as an
+    AntilinearOperator.
 
     ``pairs`` is a sequence of (e_j, f_j); the combined vectors must be an
     orthonormal basis of the whole (even-dimensional) space.  With the e_j
@@ -142,7 +116,7 @@ def make_anticonjugation(pairs):
     if frob(q.conj().T @ q - np.eye(n)) > 1e-8 * max(1.0, np.sqrt(n)):
         raise NotOrthonormal("pair vectors are not orthonormal")
     fe = q[:, 1::2] @ q[:, 0::2].T
-    return Anticonjugation(fe - fe.T)
+    return AntilinearOperator(fe - fe.T)
 
 
 def tau_transpose(t, tau):
@@ -152,11 +126,6 @@ def tau_transpose(t, tau):
         return t.T
     c = tau.mat
     return c @ t.T @ np.conj(c)
-
-
-def is_tau_skew_symmetric(t, tau, tol=DEFAULT_TOL):
-    t = matcore.require_square(t)
-    return frob(tau_transpose(t, tau) + t) <= tol * (1.0 + frob(t))
 
 
 def tau_fixed_basis(tau):

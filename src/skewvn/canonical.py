@@ -5,8 +5,8 @@ with M = U B U^tr, B the direct sum of blocks r_j [[0, 1], [-1, 0]] padded
 with zeros.  Read as an antilinear operator, U* o A o U is the block form B,
 with the pair (e_j, f_j) in columns (2j+1, 2j) of U; an even kernel is
 stored in pairs the same way.  The polar factorization
-A = kappa |A| = |A| kappa is read off it: kappa sends e_j -> f_j -> -e_j
-and |A| = U diag(r_1, r_1, r_2, r_2, ..., 0) U*.
+A = kappa |A| = |A| kappa is read off it: kappa sends e_j -> f_j -> -e_j,
+``checks.polar`` certifies it, and |A| = U diag(r_1, r_1, ..., 0) U*.
 
 Every step is a unitary congruence, so the factorization is backward
 stable.  Skew Householder congruences reduce M (on an exact power-of-two
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .antilinear import Anticonjugation
+from .antilinear import AntilinearOperator
 from .errors import NotSkewSymmetric, OddKernel
 from .matcore import DEFAULT_TOL, frob
 
@@ -63,10 +63,11 @@ class YoulaResult:
 
     def kappa(self):
         """The anticonjugation e_j -> f_j, f_j -> -e_j of ``pair_basis``,
-        F E^tr - E F^tr with e_j, f_j in columns 2j+1, 2j."""
+        F E^tr - E F^tr with e_j, f_j in columns 2j+1, 2j: exactly skew,
+        unitary with kappa^2 = -I as far as U is."""
         v = self.pair_basis()[0]
         fe = v[:, 0::2] @ v[:, 1::2].T
-        return Anticonjugation(fe - fe.T)
+        return AntilinearOperator(fe - fe.T)
 
     def modulus(self):
         """|A| = U diag(r_1, r_1, ..., r_k, r_k, 0, ..., 0) U*."""
@@ -89,7 +90,7 @@ def block_skew_matrix(d_values, dim):
 
 @dataclass(frozen=True)
 class PolarResult:
-    kappa: Anticonjugation
+    kappa: AntilinearOperator
     modulus: np.ndarray
 
 
@@ -143,13 +144,13 @@ def youla_decompose(m, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     """Unitary congruence M = U B U^tr with B block skew-diagonal.
 
     M must be complex skew-symmetric within tol, ||M + M^tr||_F <=
-    tol (1 + ||M||_F), else NotSkewSymmetric before any work; this is the
-    one skew test of every decomposition.  r holds each singular
-    value above rank_tol * r_max once per pair, descending; the remaining
-    ``kernel_dim`` columns of U span the numerical kernel, paired when even.
+    tol ||M||_F as on the ``skew_symmetry`` line, else NotSkewSymmetric
+    before any work: the one skew test of every decomposition.  r holds
+    each singular value above rank_tol * r_max once per pair, descending;
+    the other ``kernel_dim`` columns of U span the numerical kernel.
     """
     m = matcore.require_square(m)
-    if not frob(m + m.T) <= tol * (1.0 + frob(m)):
+    if not frob(m + m.T) <= tol * frob(m):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
     n = m.shape[0]
     # exact power-of-two prescale: the reflector norms of a matrix near

@@ -15,7 +15,7 @@ import sys
 from . import canonical, checks, cmatio, generate, wvn as wvn_mod
 from .antilinear import AntilinearOperator, Conjugation
 from .checks import VerificationReport
-from .errors import DimensionMismatch, OddKernel, SkewvnError
+from .errors import DimensionMismatch, InvalidP, OddKernel, SkewvnError
 from .matcore import DEFAULT_TOL
 
 
@@ -32,20 +32,21 @@ def _write_values(prefix, values):
 
 def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     """Aggregate verification; returns (report, exit_code)."""
+    if epsilon is not None and decomp is None:
+        wvn_mod._check_budget(epsilon, p)
+    elif epsilon is not None:  # a given decomposition admits --p inf
+        wvn_mod._check_epsilon(epsilon)
+        if not p > 1:
+            raise InvalidP(f"--p must be > 1, got {p}")
     report = VerificationReport()
     checks.skew_symmetry(report, m, tol)
     if not report.all_pass:
         return report, 1
-    if epsilon is not None:
-        wvn_mod._check_epsilon(epsilon)  # a given decomposition admits --p inf
-
     if decomp is not None:
         k, d, u = decomp
         checks.decomposition(report, "decomp", m, k, d, u, tol, epsilon, p)
         return report, report.exit_code
 
-    if epsilon is not None:
-        wvn_mod._check_budget(epsilon, p)
     # one factorization for the youla, polar, spectral-measure and wvn lines
     youla = canonical.youla_decompose(m, tol, rank_tol)
     if epsilon is not None:
@@ -129,10 +130,11 @@ def _finish(prefix, check, *args):
 def _cmd_youla(args):
     m = cmatio.read_cmat(args.matrix)
     result = canonical.youla_decompose(m, args.tol, args.rank_tol)
+    b = result.block_matrix()
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
-    cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.block_matrix())
+    cmatio.write_cmat(f"{args.out_prefix}.D.cmat", b)
     _write_values(args.out_prefix, result.r)
-    return _finish(args.out_prefix, checks.youla, m, result.u, result.block_matrix(), args.tol)
+    return _finish(args.out_prefix, checks.youla, m, result.u, b, args.tol)
 
 
 def _cmd_polar(args):

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .antilinear import AntilinearOperator, is_tau_skew_symmetric, tau_fixed_basis
+from .antilinear import AntilinearOperator, tau_fixed_basis
 from .canonical import block_skew_matrix, youla_decompose
 from .errors import (
     BudgetFailure,
     InvalidP,
     KernelMismatch,
-    NotSkewSymmetric,
     SkewvnError,
     ZeroVector,
 )
@@ -371,13 +370,13 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
         v = np.hstack(v_parts)[:, (2 * order[:, None] + np.arange(2)).ravel()]
         r = r[order]
 
-    # the sum of the steps K = Q Y^tr - Y Q^tr, Q = [f_k, kappa f_k] per kept cell
-    k_total = u[:, :used] @ y[:, :used].T
+    # K = -(sum of the steps Q Y^tr - Y Q^tr), Q = [f_k, kappa f_k] per kept cell
+    k_total = y[:, :used] @ u[:, :used].T
     del y
     k_total -= k_total.T
     # the kernel left over pairs column 2j+1 with column 2j, d = 0
     u[:, used:paired:2], u[:, used + 1 : paired : 2] = v[:, 1::2], v[:, 0::2]
-    return np.negative(k_total, out=k_total), u, d_values, spent
+    return k_total, u, d_values, spent
 
 
 @dataclass(frozen=True)
@@ -396,7 +395,8 @@ def skew_symmetric_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT
     standard basis.  For the standard conjugation the identity uses the
     plain transpose; for a general tau the transpose is taken in a
     tau-fixed basis, which amounts to T = K + U D U^T conj(C) with C the
-    matrix of tau.  Raises OddKernel for an odd numerical kernel.
+    matrix of tau.  Raises NotSkewSymmetric as ``youla_decompose`` does on
+    T in a tau-fixed basis, OddKernel for an odd numerical kernel.
     """
     return _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel=False)
 
@@ -417,11 +417,9 @@ def kernel_split_wvn(t, tau, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_T
 def _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel):
     _check_budget(epsilon, p)
     t = matcore.require_square(t)
-    if not is_tau_skew_symmetric(t, tau, tol):
-        raise NotSkewSymmetric("matrix is not tau-skew-symmetric within tolerance")
     # the standard basis is tau-fixed for the standard conjugation
     r_basis = None if tau.is_standard() else tau_fixed_basis(tau)
-    t_fixed = t if r_basis is None else r_basis.conj().T @ t @ r_basis  # plain skew-symmetric
+    t_fixed = t if r_basis is None else r_basis.conj().T @ t @ r_basis  # skew iff T is tau-skew
     k, u, d_values, spent = _wvn(youla_decompose(t_fixed, tol, rank_tol), epsilon, p, tol,
                                  rank_tol, split_kernel)
     # column order (f, e) makes U D U^tr reproduce the antilinear block form;

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from skewvn.antilinear import (
-    Anticonjugation,
     AntilinearOperator,
     Conjugation,
-    is_tau_skew_symmetric,
     make_anticonjugation,
     tau_fixed_basis,
     tau_transpose,
@@ -128,11 +126,6 @@ def test_make_anticonjugation_errors():
         make_anticonjugation([])
 
 
-def test_anticonjugation_rejects_odd_dimension():
-    with pytest.raises(OddDimension):
-        Anticonjugation(np.zeros((3, 3)))
-
-
 def test_antilinear_from_linear_standard():
     t = np.array([[0, 1], [-1, 0]], dtype=complex)
     a = AntilinearOperator(t @ Conjugation.standard(2).mat)
@@ -168,15 +161,6 @@ def test_transpose_check_random():
     tau = Conjugation.standard(6)
     t = random_complex(rng, 6, 6)
     assert frob(t.T - tau_transpose(t, tau)) <= 1e-14 * (1 + frob(t))
-
-
-def test_is_tau_skew_symmetric_general_tau():
-    rng = np.random.default_rng(11)
-    tau = random_conjugation(rng, 4)
-    m = random_complex(rng, 4, 4)
-    t = (m - m.T) @ np.conj(tau.mat)
-    assert is_tau_skew_symmetric(t, tau)
-    assert not is_tau_skew_symmetric(np.eye(4), tau)
 
 
 def test_orthogonality_lemma():

@@ -140,8 +140,9 @@ def decompositions(m, tol):
 
 
 def test_non_skew_input_is_refused_before_any_eigensolve(monkeypatch):
-    # one skew test, ||M + M^tr||_F <= tol (1 + ||M||_F), ahead of the
-    # Householder reduction; a NaN tolerance admits nothing
+    # one skew test, ||M + M^tr||_F <= tol ||M||_F, ahead of the Householder
+    # reduction, with the same verdict at every scale; a NaN tolerance
+    # admits nothing
     reductions = []
     real = canonical._tridiagonalize
 
@@ -151,12 +152,25 @@ def test_non_skew_input_is_refused_before_any_eigensolve(monkeypatch):
 
     monkeypatch.setattr(canonical, "_tridiagonalize", counting)
     near = random_skew(np.random.default_rng(37), 6) + 1e-9 * np.eye(6)
+    symmetric = np.array([[1.0, 2.0], [2.0, 3.0]])
     for m, tol in ((np.eye(2), 1e-10), (np.arange(16.0).reshape(4, 4), 1e-10),
-                   (near, 1e-10), (np.array([[0, 1], [-1, 0]], dtype=complex), float("nan"))):
+                   (near, 1e-10), (np.array([[0, 1], [-1, 0]], dtype=complex), float("nan")),
+                   (symmetric * 2.0**-600, 1e-10), (symmetric, 1e-10),
+                   (symmetric * 2.0**600, 1e-10)):
         for run in decompositions(m, tol):
             with pytest.raises(NotSkewSymmetric):
                 run()
+    # a general tau: T is tau-skew exactly when its matrix in a tau-fixed
+    # basis is skew, which youla_decompose tests there
+    rng = np.random.default_rng(11)
+    w = random_unitary(rng, 4)
+    tau = Conjugation(w @ w.T)
+    for split in (skew_symmetric_wvn, kernel_split_wvn):
+        with pytest.raises(NotSkewSymmetric):
+            split(np.eye(4), tau, 1.0)
     assert reductions == []
+    for split in (skew_symmetric_wvn, kernel_split_wvn):
+        split(random_skew(rng, 4) @ np.conj(tau.mat), tau, 1.0)
     for m in (np.array([[0, 1], [-1, 0]], dtype=complex), np.array([[0, 2j], [-2j, 0]]), near):
         for run in decompositions(m, 1e-8):
             run()

@@ -13,6 +13,7 @@ from skewvn import checks, cli, generate
 from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn.canonical import block_skew_matrix, polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
+from skewvn.errors import NotSkewSymmetric
 from skewvn.schatten import schatten_norm
 from skewvn.wvn import skew_symmetric_wvn, spectral_resolution, wvn_decompose
 
@@ -169,6 +170,12 @@ def test_verdicts_do_not_depend_on_the_scale(shift):
     names = failing(checks.decomposition, "decomp", m, k, bump(d, delta=1e-6 * scale), r.u, TOL)
     # decomp_block_structure keeps an absolute bound
     assert names - {"decomp_block_structure"} == {"decomp_reconstruction"}
+    # the skew line and the one skew test of every decomposition share the
+    # bound tol ||M||_F (tests/test_canonical.py runs all five decompositions)
+    sym = np.array([[1.0, 2.0], [2.0, 3.0]]) * scale
+    assert failing(checks.skew_symmetry, sym, TOL) == {"skew_symmetry"}
+    with pytest.raises(NotSkewSymmetric):
+        youla_decompose(sym)
 
 
 def test_zero_decomposition_of_a_tiny_input_fails():

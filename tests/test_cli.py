@@ -382,6 +382,35 @@ def test_cli_verify_decomposition_refuses_an_epsilon_that_is_not_positive(
                  "--p", "inf"]) == 0
 
 
+def test_cli_verify_refuses_a_bad_budget_before_the_skew_line(tmp_path, capsys):
+    # a usage error is exit 2 even on an input the skew line would fail
+    spath, prefix = str(tmp_path / "s.cmat"), str(tmp_path / "z")
+    cmatio.write_cmat(spath, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for x in "KDU":
+        cmatio.write_cmat(f"{prefix}.{x}.cmat", np.zeros((2, 2)))
+    for given in ([], ["--decomp-prefix", prefix]):
+        for budget in (["--epsilon", "0"], ["--epsilon", "1e-2", "--p", "1"]):
+            assert main(["verify", spath, *given, *budget]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+    # --p inf stays valid for a given decomposition: the skew line runs
+    assert main(["verify", spath, "--decomp-prefix", prefix, "--epsilon", "1e-2",
+                 "--p", "inf"]) == 1
+    assert capsys.readouterr().out.startswith("skew_symmetry FAIL")
+
+
+@pytest.mark.parametrize("shift", [-600, 0, 600])
+def test_cli_refuses_a_symmetric_input_at_every_scale(tmp_path, capsys, shift):
+    mpath = str(tmp_path / "s.cmat")
+    cmatio.write_cmat(mpath, np.array([[1.0, 2.0], [2.0, 3.0]]) * 2.0**shift)
+    budget = ["--epsilon", repr(1e-2 * 2.0**shift)]
+    for command, extra in (("youla", []), ("polar", []), ("wvn", budget),
+                           ("skew-wvn", budget)):
+        assert main([command, mpath, *extra, "--out-prefix", str(tmp_path / "o")]) == 2
+        assert "skew-symmetric within tolerance" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o.*"))
+
+
 def test_cli_maps_a_failed_allocation_to_exit_2(tmp_path, capsys):
     # both arrays lie beyond the 128 TiB user address space, so numpy fails
     # at once, whatever the overcommit setting, and no memory is touched

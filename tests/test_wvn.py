@@ -840,6 +840,9 @@ def test_generic_wvn_factors_once_and_forms_no_dense_step(monkeypatch):
     # one outer step: the sum of the step norms is ||K||_p
     assert result.achieved_norm < 1e-2
     assert abs(result.achieved_norm - schatten_norm(result.k, 2.0)) <= roundoff(a.mat)
+    # K's diagonal is exactly zero, and +0.0 as K.cmat writes it
+    diag = np.diagonal(result.k.mat)
+    assert not np.any(diag) and not np.any(np.signbit(diag.real) | np.signbit(diag.imag))
 
 
 def test_wvn_factors_once_per_outer_step(monkeypatch):
@@ -854,7 +857,7 @@ def test_wvn_factors_once_per_outer_step(monkeypatch):
     assert result.achieved_norm < 1e-2
     # four values: every kept cell holds one and is captured whole, K = 0
     assert len(accepted_per_step(attempts)) == 1
-    assert not np.any(result.k.mat)
+    assert not np.any(result.k.mat) and not np.any(np.signbit(result.k.mat.view(float)))
     assert youla == [32] and resolutions == []
     # ten distinct values: cells of several values leave complements
     del youla[:], attempts[:]
