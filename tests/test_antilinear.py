@@ -11,6 +11,7 @@ from skewvn.antilinear import (
 from skewvn.canonical import youla_decompose
 from skewvn.errors import (
     NotOrthonormal,
+    NotSkewSymmetric,
     OddDimension,
     SkewvnError,
 )
@@ -161,6 +162,21 @@ def test_transpose_check_random():
     tau = Conjugation.standard(6)
     t = random_complex(rng, 6, 6)
     assert frob(t.T - tau_transpose(t, tau)) <= 1e-14 * (1 + frob(t))
+
+
+def test_is_tau_skew_symmetric_general_tau():
+    # T is tau-skew (tau T* tau = -T) exactly when its matrix in a
+    # tau-fixed basis is skew, which youla_decompose tests there
+    rng = np.random.default_rng(11)
+    tau = random_conjugation(rng, 4)
+    m = random_complex(rng, 4, 4)
+    t = (m - m.T) @ np.conj(tau.mat)
+    r = tau_fixed_basis(tau)
+    assert frob(tau_transpose(t, tau) + t) <= 1e-12 * frob(t)
+    youla_decompose(r.conj().T @ t @ r)
+    assert frob(tau_transpose(np.eye(4), tau) + np.eye(4)) > 1.0
+    with pytest.raises(NotSkewSymmetric):
+        youla_decompose(r.conj().T @ np.eye(4) @ r)
 
 
 def test_orthogonality_lemma():
