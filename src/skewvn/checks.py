@@ -73,9 +73,11 @@ def skew_symmetry(report, m, tol):
     report.add("skew_symmetry", frob(m + m.T), tol * frob(m))
 
 
-def youla(report, m, u, b, tol):
-    """M = U B U^tr with U unitary."""
-    report.add("youla_roundtrip", frob(m - u @ b @ u.T), max(tol, FACTOR_TOL) * frob(m))
+def youla(report, m, u, r, tol):
+    """M = U B U^tr with U unitary and B = block_skew_matrix(r); U B U^tr =
+    X - X^tr for X = sum_j r_j u_2j u_2j+1^tr, one half-size product."""
+    x = (u[:, 0:2 * len(r):2] * r) @ u[:, 1:2 * len(r):2].T
+    report.add("youla_roundtrip", frob(m - x + x.T), max(tol, FACTOR_TOL) * frob(m))
     report.add("youla_unitary", _unitarity(u), _unit_bound(tol, m.shape[0]))
 
 
@@ -119,9 +121,8 @@ def wvn(report, m, k, d, u, d_values, tol, epsilon, p):
     s_k = singular_values(k)  # one SVD serves the budget and the Weyl line
     report.add("wvn_norm_budget", _schatten(s_k, p), epsilon, strict=True)
     report.add("wvn_unitary", _unitarity(u), _unit_bound(tol, m.shape[0]))
-    e, f = u[:, 0::2], u[:, 1::2]
-    block = (f * d_values) @ e.T - (e * d_values) @ f.T
-    report.add("wvn_block_residual", frob(d - block), 1e-9 * scale)
+    x = (u[:, 1::2] * d_values) @ u[:, 0::2].T  # D = X - X^tr
+    report.add("wvn_block_residual", frob(d - x + x.T), 1e-9 * scale)
     shift = np.abs(singular_values(m) - singular_values(d))
     report.add("wvn_weyl_stability", float(np.max(shift)), float(s_k[0]) + 1e-9)
 

@@ -32,12 +32,11 @@ def _write_values(prefix, values):
 
 def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     """Aggregate verification; returns (report, exit_code)."""
-    if epsilon is not None and decomp is None:
-        wvn_mod._check_budget(epsilon, p)
-    elif epsilon is not None:  # a given decomposition admits --p inf
+    # usage errors come before any line; a given decomposition admits --p inf
+    if not (1 < p < math.inf or decomp is not None and p == math.inf):
+        raise InvalidP(f"the decomposition needs 1 < p < inf, got {p}")
+    if epsilon is not None:
         wvn_mod._check_epsilon(epsilon)
-        if not p > 1:
-            raise InvalidP(f"--p must be > 1, got {p}")
     report = VerificationReport()
     checks.skew_symmetry(report, m, tol)
     if not report.all_pass:
@@ -51,7 +50,7 @@ def run_verify(m, tol, rank_tol, epsilon=None, p=2.0, decomp=None):
     youla = canonical.youla_decompose(m, tol, rank_tol)
     if epsilon is not None:
         wvn_mod._check_floor(youla.r, epsilon, p)
-    checks.youla(report, m, youla.u, youla.block_matrix(), tol)
+    checks.youla(report, m, youla.u, youla.r, tol)
 
     try:
         polar = youla.polar()
@@ -130,11 +129,10 @@ def _finish(prefix, check, *args):
 def _cmd_youla(args):
     m = cmatio.read_cmat(args.matrix)
     result = canonical.youla_decompose(m, args.tol, args.rank_tol)
-    b = result.block_matrix()
     cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
-    cmatio.write_cmat(f"{args.out_prefix}.D.cmat", b)
+    cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.block_matrix())
     _write_values(args.out_prefix, result.r)
-    return _finish(args.out_prefix, checks.youla, m, result.u, b, args.tol)
+    return _finish(args.out_prefix, checks.youla, m, result.u, result.r, args.tol)
 
 
 def _cmd_polar(args):

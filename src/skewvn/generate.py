@@ -1,10 +1,17 @@
-"""Seeded instance generators for the CLI and the test corpus."""
+"""Seeded instance generators: every input family of the CLI and the tests.
+
+Each kind is a function of (dim, rank, seed) alone.  The spectrum families
+(clustered, near-degenerate, graded) are ``from_spectrum`` of a prescribed
+list of pair values, so their singular values are known exactly.
+"""
 
 import numpy as np
 
+from .canonical import block_skew_matrix
 from .errors import DimensionMismatch, InvalidRank, SkewvnError
 
-KINDS = ("skew-symmetric", "skew-symmetric-rank", "tau-skew-symmetric-with-kernel")
+RANKED = ("skew-symmetric-rank", "tau-skew-symmetric-with-kernel")
+KINDS = ("skew-symmetric", *RANKED, "clustered", "near-degenerate", "graded")
 
 
 def random_complex(rng, rows, cols):
@@ -17,57 +24,55 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_skew_symmetric(dim, seed):
-    """W - W^tr from seeded standard-normal complex W; exactly skew."""
-    w = random_complex(np.random.default_rng(seed), dim, dim)
+def random_skew(rng, n):
+    """W - W^tr for standard-normal complex W; exactly skew."""
+    w = random_complex(rng, n, n)
     return w - w.T
 
 
-def random_skew_symmetric_rank(dim, rank, seed):
-    """Skew-symmetric with prescribed even rank, via a seeded congruence."""
-    if rank % 2 != 0:
-        raise InvalidRank(f"skew-symmetric matrices have even rank, got {rank}")
-    if rank > dim:
-        raise InvalidRank(f"rank {rank} exceeds dimension {dim}")
-    rng = np.random.default_rng(seed)
-    u = random_unitary(rng, dim)
-    b = np.zeros((dim, dim), dtype=complex)
-    r_values = np.sort(rng.uniform(0.5, 2.0, size=rank // 2))[::-1]
-    for j, r in enumerate(r_values):
-        b[2 * j, 2 * j + 1] = r
-        b[2 * j + 1, 2 * j] = -r
-    return u @ b @ u.T
-
-
-def random_skew_with_kernel(dim, rank, seed):
-    """Skew-symmetric (standard tau) with zero rows/cols padding the kernel."""
-    if rank % 2 != 0:
-        raise InvalidRank(f"skew-symmetric matrices have even rank, got {rank}")
-    if rank > dim:
-        raise InvalidRank(f"rank {rank} exceeds dimension {dim}")
-    w = random_complex(np.random.default_rng(seed), rank, rank)
-    core = w - w.T
-    out = np.zeros((dim, dim), dtype=complex)
-    out[:rank, :rank] = core
-    return out
+def from_spectrum(r, n, seed):
+    """U B U^tr for the seeded unitary U and B = block_skew_matrix(r, n),
+    made exactly skew: its pair values are r and its kernel n - 2 len(r)."""
+    u = random_unitary(np.random.default_rng(seed), n)
+    m = u @ block_skew_matrix(r, n) @ u.T
+    return (m - m.T) / 2.0
 
 
 def gen(kind, dim, rank=None, seed=0):
-    """Deterministic generator dispatch; see KINDS."""
+    """The seeded matrix of one kind; see KINDS.  ``rank`` is read by the
+    RANKED kinds only."""
     if dim < 1:
         raise DimensionMismatch(f"dimension must be positive, got {dim}")
     if rank is not None and rank < 0:
         raise InvalidRank(f"rank must be nonnegative, got {rank}")
     if seed < 0:
         raise SkewvnError(f"seed must be nonnegative, got {seed}")
+    if kind not in KINDS:
+        raise InvalidRank(f"unknown kind {kind!r}")
+    if kind in RANKED:
+        if rank is None:
+            raise InvalidRank(f"rank is required for {kind}")
+        if rank % 2 != 0:
+            raise InvalidRank(f"skew-symmetric matrices have even rank, got {rank}")
+        if rank > dim:
+            raise InvalidRank(f"rank {rank} exceeds dimension {dim}")
     if kind == "skew-symmetric":
-        return random_skew_symmetric(dim, seed)
-    if kind == "skew-symmetric-rank":
-        if rank is None:
-            raise InvalidRank("rank is required for skew-symmetric-rank")
-        return random_skew_symmetric_rank(dim, rank, seed)
-    if kind == "tau-skew-symmetric-with-kernel":
-        if rank is None:
-            raise InvalidRank("rank is required for tau-skew-symmetric-with-kernel")
-        return random_skew_with_kernel(dim, rank, seed)
-    raise InvalidRank(f"unknown kind {kind!r}")
+        return random_skew(np.random.default_rng(seed), dim)
+    if kind == "skew-symmetric-rank":  # a congruence, not made exactly skew
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, dim)
+        r = np.sort(rng.uniform(0.5, 2.0, size=rank // 2))[::-1]
+        return u @ block_skew_matrix(r, dim) @ u.T
+    if kind == "tau-skew-symmetric-with-kernel":  # zero rows and columns pad the kernel
+        out = np.zeros((dim, dim), dtype=complex)
+        out[:rank, :rank] = random_skew(np.random.default_rng(seed), rank)
+        return out
+    pairs = dim // 2
+    if kind == "clustered":  # four levels of equal multiplicity
+        r = np.repeat(np.linspace(2.0, 0.5, 4), -(-pairs // 4))[:pairs]
+    elif kind == "near-degenerate":  # pairs of values at relative gap 1e-7
+        base = np.random.default_rng(seed + 1).uniform(0.5, 2.0, dim // 4)
+        r = np.sort(np.concatenate([base, base * (1.0 + 1e-7)]))[::-1]
+    else:  # graded: 1 ... 1e-12, log-uniform
+        r = np.logspace(0.0, -12.0, pairs)
+    return from_spectrum(r, dim, seed)

@@ -15,16 +15,8 @@ from skewvn.errors import (
     OddDimension,
     SkewvnError,
 )
+from skewvn.generate import random_complex, random_unitary
 from skewvn.matcore import frob
-
-
-def random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_complex(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_conjugation(rng, n):

@@ -5,22 +5,9 @@ from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn import canonical
 from skewvn.canonical import K2, polar_factorize, youla_decompose
 from skewvn.errors import NotSkewSymmetric, OddKernel
+from skewvn.generate import gen, random_skew, random_unitary
 from skewvn.matcore import frob
 from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, wvn_decompose
-
-
-def random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_complex(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_skew(rng, n):
-    w = random_complex(rng, n, n)
-    return w - w.T
 
 
 def roundtrip_residual(m, result):
@@ -230,8 +217,6 @@ def test_polar_kappa_commutes_with_spectral_projections():
 def test_youla_and_polar_scale_by_powers_of_two():
     # the reflector norms of an input near 2^+-600 overflow or underflow
     # unless it is prescaled; the prescale is exact, so outputs scale exactly
-    from skewvn.generate import gen
-
     m = gen("skew-symmetric", 32, None, 4)
     youla = youla_decompose(m)
     polar = polar_factorize(AntilinearOperator(m))
@@ -274,7 +259,6 @@ def test_kappa_is_the_anticonjugation_of_the_pair_basis_bit_for_bit():
     # kappa = F E^tr - E F^tr, formed without restacking the pairs, equals
     # make_anticonjugation over the pairs (e_j, f_j) = (v_2j+1, v_2j)
     from skewvn.antilinear import make_anticonjugation
-    from skewvn.generate import gen
 
     for m in (gen("skew-symmetric", 8, None, 1), gen("skew-symmetric", 64, None, 2),
               gen("skew-symmetric-rank", 64, 40, 3),

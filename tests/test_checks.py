@@ -11,7 +11,7 @@ import pytest
 
 from skewvn import checks, cli, generate
 from skewvn.antilinear import AntilinearOperator, Conjugation
-from skewvn.canonical import block_skew_matrix, polar_factorize, youla_decompose
+from skewvn.canonical import polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
 from skewvn.errors import NotSkewSymmetric
 from skewvn.schatten import schatten_norm
@@ -22,9 +22,7 @@ EPSILON = 1e-2
 M = generate.gen("skew-symmetric", 12, None, 3)
 # two pair values 1e-3 apart share a WvN cell, so K carries their spread,
 # ||K||_2 ~ 1e-3, where on M it is roundoff or exactly 0
-NEAR = generate.random_unitary(np.random.default_rng(3), 12)
-NEAR = NEAR @ block_skew_matrix([2.0, 1.2, 1.2 - 1e-3, 0.5, 0.3, 0.1], 12) @ NEAR.T
-NEAR = (NEAR - NEAR.T) / 2.0
+NEAR = generate.from_spectrum([2.0, 1.2, 1.2 - 1e-3, 0.5, 0.3, 0.1], 12, 3)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -47,13 +45,18 @@ def test_skew_symmetry_fails_on_a_non_skew_matrix():
     assert failing(checks.skew_symmetry, bump(M), TOL) == {"skew_symmetry"}
 
 
+def bump_first(r, delta=1e-6):
+    y = np.array(r, dtype=float)
+    y[0] += delta
+    return y
+
+
 def test_youla_lines_fail_on_their_faults():
     result = youla_decompose(M)
-    b = result.block_matrix()
-    assert failing(checks.youla, M, result.u, b, TOL) == set()
-    assert failing(checks.youla, M, bump(result.u), b, TOL) == {
-        "youla_roundtrip", "youla_unitary"}
-    assert failing(checks.youla, M, result.u, bump(b), TOL) == {"youla_roundtrip"}
+    u, r = result.u, result.r
+    assert failing(checks.youla, M, u, r, TOL) == set()
+    assert failing(checks.youla, M, bump(u), r, TOL) == {"youla_roundtrip", "youla_unitary"}
+    assert failing(checks.youla, M, u, bump_first(r), TOL) == {"youla_roundtrip"}
 
 
 def test_polar_lines_fail_on_their_faults():
@@ -88,9 +91,8 @@ def test_wvn_lines_fail_on_their_faults():
     # an off-block entry of D breaks A = K + D, the block form and the spectrum
     assert failing(checks.wvn, m, k, bump(d), u, d_values, tol, epsilon, p) == {
         "wvn_reconstruction", "wvn_block_residual", "wvn_weyl_stability"}
-    wrong = d_values.copy()
-    wrong[0] += 1e-6
-    assert failing(checks.wvn, m, k, d, u, wrong, tol, epsilon, p) == {"wvn_block_residual"}
+    assert failing(checks.wvn, m, k, d, u, bump_first(d_values), tol, epsilon, p) == {
+        "wvn_block_residual"}
 
 
 def test_wvn_unitary_fails_on_a_perturbed_basis():
@@ -160,9 +162,8 @@ def test_verdicts_do_not_depend_on_the_scale(shift):
     scale = 2.0**shift
     m = M * scale
     result = youla_decompose(m)
-    b = result.block_matrix()
-    assert failing(checks.youla, m, result.u, b, TOL) == set()
-    assert failing(checks.youla, m, result.u, bump(b, delta=1e-6 * scale), TOL) == {
+    assert failing(checks.youla, m, result.u, result.r, TOL) == set()
+    assert failing(checks.youla, m, result.u, bump_first(result.r, 1e-6 * scale), TOL) == {
         "youla_roundtrip"}
     r = skew_wvn()
     k, d = r.k * scale, r.d * scale

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -9,10 +10,7 @@ from hypothesis import given, settings, strategies as st
 from skewvn import canonical, checks, cli, cmatio, generate, wvn
 from skewvn.cli import VerificationReport, main, run_verify
 from skewvn.errors import InvalidRank, ParseError
-
-
-def random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+from skewvn.generate import from_spectrum, random_complex, random_unitary
 
 
 def test_parse_cmat_basic():
@@ -188,6 +186,24 @@ def test_gen_with_kernel():
     assert int(np.count_nonzero(s > 1e-12 * s[0])) == 4
 
 
+# sha256 of format_cmat(gen(...)) for the three oldest kinds: their bytes
+# stay fixed as kinds are added
+GEN_DIGESTS = [
+    (("skew-symmetric", 16, None, 42),
+     "a92363adbc9aae674a828351bcd07d44c1ff91b9fe14560b4da66ea1457ea449"),
+    (("skew-symmetric-rank", 64, 32, 7),
+     "890dbfe576a959d31958e0f806345b6e5c927b6dd1bea34ddb77edd9080ab31f"),
+    (("tau-skew-symmetric-with-kernel", 63, 32, 5),
+     "e7166dbb3e2af472b09748de392674c404f244330638a2fb4c4a1f97c3583242"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GEN_DIGESTS, ids=[a[0] for a, _ in GEN_DIGESTS])
+def test_gen_keeps_the_bytes_of_the_old_kinds(args, digest):
+    text = cmatio.format_cmat(generate.gen(*args))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
 def test_report_format():
     report = VerificationReport()
     report.add("alpha", 0.5, 1.0)
@@ -267,10 +283,8 @@ def test_run_verify_factorizes_once(monkeypatch):
 def test_cli_youla_rank_cut_follows_rank_tol(tmp_path):
     # r = 2, 1, 1e-9: the default rank_tol 1e-10 keeps the last pair, 1e-6
     # makes it kernel, within the youla_roundtrip bound
-    u = generate.random_unitary(np.random.default_rng(9), 6)
-    m = u @ canonical.block_skew_matrix([2.0, 1.0, 1e-9], 6) @ u.T
     mpath = str(tmp_path / "m.cmat")
-    cmatio.write_cmat(mpath, (m - m.T) / 2.0)
+    cmatio.write_cmat(mpath, from_spectrum([2.0, 1.0, 1e-9], 6, 9))
     values = {}
     for rank_tol in ("1e-10", "1e-6"):
         prefix = tmp_path / f"y{rank_tol}"
@@ -282,23 +296,30 @@ def test_cli_youla_rank_cut_follows_rank_tol(tmp_path):
 
 
 def test_cli_pipeline(tmp_path, capsys):
-    mpath = str(tmp_path / "m.cmat")
-    prefix = str(tmp_path / "out")
-    assert main(["gen", "--kind", "skew-symmetric", "--dim", "8",
-                 "--seed", "11", "--out", mpath]) == 0
-    assert main(["wvn", mpath, "--epsilon", "1e-2",
-                 "--out-prefix", prefix]) == 0
-    for suffix in (".K.cmat", ".D.cmat", ".U.cmat", ".report.txt", ".values.txt"):
-        assert (tmp_path / f"out{suffix}").exists()
-    assert main(["verify", mpath, "--epsilon", "1e-2"]) == 0
-    out = capsys.readouterr().out
-    for line in out.strip().splitlines():
-        if line.startswith("#"):
-            continue
-        name, status, residual, bound = line.split()
-        assert status in ("PASS", "FAIL")
-        assert residual.startswith("residual=")
-        assert bound.startswith("bound=")
+    # a generic input and one of each spectrum family of gen: every command
+    # exits 0, writes its files and prints only well-formed PASS lines
+    budget = ["--epsilon", "1e-2"]
+    for kind, dim in (("skew-symmetric", 8), ("clustered", 16), ("near-degenerate", 16),
+                      ("graded", 16)):
+        mpath, prefix = str(tmp_path / f"{kind}.cmat"), str(tmp_path / kind)
+        assert main(["gen", "--kind", kind, "--dim", str(dim), "--seed", "11",
+                     "--out", mpath]) == 0
+        text = ""
+        for command, extra in (("youla", []), ("polar", []), ("wvn", budget),
+                               ("skew-wvn", budget)):
+            assert main([command, mpath, *extra, "--out-prefix", f"{prefix}-{command}"]) == 0
+            text += Path(f"{prefix}-{command}.report.txt").read_text()
+        for suffix in (".K.cmat", ".D.cmat", ".U.cmat", ".report.txt", ".values.txt"):
+            assert Path(f"{prefix}-wvn{suffix}").exists()
+        assert main(["verify", mpath, *budget]) == 0
+        assert main(["verify", mpath, "--decomp-prefix", f"{prefix}-skew-wvn", *budget]) == 0
+        for line in (text + capsys.readouterr().out).splitlines():
+            if line.startswith("#"):
+                continue
+            name, status, residual, bound = line.split()
+            assert status == "PASS", (kind, line)
+            assert residual.startswith("residual=")
+            assert bound.startswith("bound=")
 
 
 def test_cli_values_descending(tmp_path):
@@ -389,7 +410,8 @@ def test_cli_verify_refuses_a_bad_budget_before_the_skew_line(tmp_path, capsys):
     for x in "KDU":
         cmatio.write_cmat(f"{prefix}.{x}.cmat", np.zeros((2, 2)))
     for given in ([], ["--decomp-prefix", prefix]):
-        for budget in (["--epsilon", "0"], ["--epsilon", "1e-2", "--p", "1"]):
+        for budget in (["--epsilon", "0"], ["--epsilon", "1e-2", "--p", "1"],
+                       ["--p", "0.5"], ["--p", "nan"]):
             assert main(["verify", spath, *given, *budget]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ")
@@ -537,7 +559,7 @@ def test_cli_non_finite_input_exit(tmp_path, capsys):
 def test_cli_wvn_near_degenerate_pair(tmp_path):
     # singular values 1 and 1 + 1e-6 leave a step perturbation of ~1e-6,
     # so A = K + D must hold with the returned sign of K, not A = D - K
-    u = generate.random_unitary(np.random.default_rng(3), 8)
+    u = random_unitary(np.random.default_rng(3), 8)
     m = u @ wvn.block_skew_matrix([2.0, 1.5, 1.0, 1.0 + 1e-6], 8) @ u.T
     mpath = str(tmp_path / "m.cmat")
     cmatio.write_cmat(mpath, m)

@@ -10,51 +10,33 @@ from hypothesis import given, settings, strategies as st
 
 from skewvn import checks, generate
 from skewvn.antilinear import AntilinearOperator, Conjugation
-from skewvn.canonical import block_skew_matrix, polar_factorize, youla_decompose
+from skewvn.canonical import polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
 from skewvn.matcore import frob
 from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, spectral_resolution, wvn_decompose
 
 TOL = 1e-10
 EPSILON = 1e-2
-
-
-def from_spectrum(r, n, seed):
-    """U B U^tr for a seeded unitary U and the block form B of r."""
-    u = generate.random_unitary(np.random.default_rng(seed), n)
-    m = u @ block_skew_matrix(r, n) @ u.T
-    return (m - m.T) / 2.0
-
-
-def clustered(n, seed):
-    # four levels of multiplicity n/8 pairs each
-    return from_spectrum(np.repeat(np.linspace(2.0, 0.5, 4), n // 8), n, seed)
-
-
-def near_degenerate(n, seed):
-    # pairs of singular values at relative gap 1e-7
-    base = np.random.default_rng(seed + 1).uniform(0.5, 2.0, n // 4)
-    return from_spectrum(np.sort(np.concatenate([base, base * (1.0 + 1e-7)]))[::-1], n, seed)
-
-
-def graded(n, seed):
-    return from_spectrum(np.logspace(0.0, -12.0, n // 2), n, seed)
-
-
-def kernel_heavy(n, seed):
-    return generate.gen("skew-symmetric-rank", n, 2 * (n // 4), seed)
-
-
-FAMILIES = {"clustered": clustered, "near-degenerate": near_degenerate, "graded": graded}
+FAMILIES = ("clustered", "near-degenerate", "graded")
 CASES = [(family, n) for family in FAMILIES for n in (16, 48)]
+
+
+def build(family, n, seed):
+    """One input of a family, through ``generate.gen``; kernel-heavy has rank
+    n/2 and odd-kernel is n + 1 wide with rank n/2."""
+    if family == "kernel-heavy":
+        return generate.gen("skew-symmetric-rank", n, 2 * (n // 4), seed)
+    if family == "odd-kernel":
+        return generate.gen("tau-skew-symmetric-with-kernel", n + 1, n // 2, seed)
+    return generate.gen("skew-symmetric" if family == "generic" else family, n, None, seed)
 
 
 @pytest.mark.parametrize("family, n", CASES)
 def test_corpus_youla_and_polar(family, n):
-    m = FAMILIES[family](n, n)
+    m = build(family, n, n)
     report = VerificationReport()
     youla = youla_decompose(m)
-    checks.youla(report, m, youla.u, youla.block_matrix(), TOL)
+    checks.youla(report, m, youla.u, youla.r, TOL)
     a = AntilinearOperator(m)
     polar = polar_factorize(a)
     checks.polar(report, m, polar.kappa.mat, polar.modulus, TOL)
@@ -64,7 +46,7 @@ def test_corpus_youla_and_polar(family, n):
 
 @pytest.mark.parametrize("family, n", CASES)
 def test_corpus_wvn_and_skew_wvn(family, n):
-    m = FAMILIES[family](n, n)
+    m = build(family, n, n)
     report = VerificationReport()
     result = wvn_decompose(AntilinearOperator(m), EPSILON)
     checks.wvn(report, m, result.k.mat, result.d.mat, result.u, result.d_values,
@@ -74,16 +56,12 @@ def test_corpus_wvn_and_skew_wvn(family, n):
     assert report.all_pass, report.render()
 
 
-BUILDERS = {"generic": lambda n, seed: generate.gen("skew-symmetric", n, None, seed),
-            "kernel-heavy": kernel_heavy, **FAMILIES}
-
-
-@pytest.mark.parametrize("family", BUILDERS)
+@pytest.mark.parametrize("family", ("generic", "kernel-heavy", *FAMILIES))
 @pytest.mark.parametrize("n", [64, 256])
 def test_youla_backward_error_is_near_eps(family, n):
     # every step is a unitary congruence: ||M - U B U^tr||_F stays within
     # 8 sqrt(n) eps ||M||_F on every family, with no rank cut to hide behind
-    m = BUILDERS[family](n, 3)
+    m = build(family, n, 3)
     youla = youla_decompose(m, rank_tol=0.0)
     residual = frob(m - youla.u @ youla.block_matrix() @ youla.u.T)
     assert residual <= 8.0 * np.sqrt(n) * np.finfo(float).eps * frob(m)
@@ -91,7 +69,7 @@ def test_youla_backward_error_is_near_eps(family, n):
 
 def test_corpus_graded_kernel_is_the_rank_cut():
     # values below rank_tol * r_max are kernel, and only those
-    m = graded(48, 48)
+    m = build("graded", 48, 48)
     r = np.logspace(0.0, -12.0, 24)
     youla = youla_decompose(m)
     assert youla.kernel_dim == 2 * np.count_nonzero(r <= TOL)
@@ -117,11 +95,11 @@ def spectra(draw):
 def test_youla_and_polar_hold_on_drawn_spectra(spectrum, seed):
     r, kernel_pairs, k = spectrum
     n = 2 * (r.size + kernel_pairs)
-    m = from_spectrum(r, n, seed)
+    m = generate.from_spectrum(r, n, seed)
     scaled = m * 2.0**k
     report = VerificationReport()
     youla = youla_decompose(scaled)
-    checks.youla(report, scaled, youla.u, youla.block_matrix(), TOL)
+    checks.youla(report, scaled, youla.u, youla.r, TOL)
     polar = polar_factorize(AntilinearOperator(scaled))
     checks.polar(report, scaled, polar.kappa.mat, polar.modulus, TOL)
     assert report.all_pass, report.render()
@@ -173,8 +151,5 @@ WORKING_SET = [
 
 @pytest.mark.parametrize("family, op, bound", WORKING_SET)
 def test_working_set_stays_at_the_eigensolver_floor(family, op, bound):
-    build = {"odd-kernel": lambda n, seed: generate.gen(
-                 "tau-skew-symmetric-with-kernel", n + 1, n // 2, seed),
-             **BUILDERS}[family]
-    m = build(256, 3)
+    m = build(family, 256, 3)
     assert traced_peak(WORKING_SET_OPS[op], m) <= bound

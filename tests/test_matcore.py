@@ -1,10 +1,7 @@
 import numpy as np
 
 from skewvn import matcore
-
-
-def random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+from skewvn.generate import random_complex
 
 
 def test_frob_scales_exactly():

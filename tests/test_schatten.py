@@ -5,16 +5,8 @@ import pytest
 
 from skewvn.antilinear import AntilinearOperator
 from skewvn.errors import InvalidP
+from skewvn.generate import random_complex, random_unitary
 from skewvn.schatten import schatten_norm, singular_values
-
-
-def random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_complex(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def gram_singular_values(mat):

@@ -19,6 +19,7 @@ from skewvn.errors import (
     SkewvnError,
     ZeroVector,
 )
+from skewvn.generate import from_spectrum, random_complex, random_skew, random_unitary
 from skewvn.matcore import frob
 from skewvn.schatten import schatten_norm
 from skewvn.wvn import (
@@ -33,15 +34,6 @@ from skewvn.wvn import (
     spectral_resolution,
     wvn_decompose,
 )
-
-
-def random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_skew(rng, n):
-    w = random_complex(rng, n, n)
-    return w - w.T
 
 
 def two_block_matrix():
@@ -372,8 +364,7 @@ def test_skew_wvn_random_postconditions():
 def test_skew_wvn_general_tau():
     rng = np.random.default_rng(49)
     n = 8
-    q, r = np.linalg.qr(random_complex(rng, n, n))
-    un = q * (np.diag(r) / np.abs(np.diag(r)))
+    un = random_unitary(rng, n)
     tau = Conjugation(un @ un.T)
     m = random_skew(rng, n)
     t = m @ np.conj(tau.mat)  # tau-skew-symmetric by construction
@@ -466,13 +457,11 @@ def test_block_skew_matrix():
 
 def test_wvn_scales_by_powers_of_two():
     # generic, graded (1 ... 1e-12) and near-degenerate (relative gap 1e-7)
-    u = generate.random_unitary(np.random.default_rng(6), 64)
     near = np.random.default_rng(7).uniform(0.5, 2.0, 16)
     spectra = [np.logspace(0.0, -12.0, 32), np.concatenate([near, near * (1.0 + 1e-7)])]
     inputs = [generate.gen("skew-symmetric", 32, None, 4)]
-    inputs += [u @ block_skew_matrix(np.sort(r)[::-1], 64) @ u.T for r in spectra]
+    inputs += [from_spectrum(np.sort(r)[::-1], 64, 6) for r in spectra]
     for m in inputs:
-        m = (m - m.T) / 2.0
         base = wvn_decompose(AntilinearOperator(m), 1e-2)
         for shift in (600, -600):
             result = wvn_decompose(AntilinearOperator(m * 2.0**shift), 1e-2 * 2.0**shift)
@@ -516,7 +505,7 @@ def test_kernel_split_odd_kernel_leaves_the_kernel_unpaired():
 def test_kernel_split_odd_kernel_under_a_general_tau():
     # T = W M W* is tau-skew-symmetric for tau = W W^tr, whose fixed vectors
     # are the columns of W, and N(T) = W N(M) = N(T*)
-    w = generate.random_unitary(np.random.default_rng(53), 21)
+    w = random_unitary(np.random.default_rng(53), 21)
     m = generate.gen("tau-skew-symmetric-with-kernel", 21, 16, 6)
     check_kernel_split_contract(w @ m @ w.conj().T, Conjugation(w @ w.T))
 
@@ -540,7 +529,7 @@ def dense_rank_projection_step(a, kappa, f, n, res):
 
 def test_rank_projection_step_matches_dense_cells():
     rng = np.random.default_rng(52)
-    u = generate.random_unitary(rng, 16)
+    u = random_unitary(rng, 16)
     # clusters of multiplicity 2, 4 and 6 among the singular values
     r = [3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.5 + 1e-3]
     a = AntilinearOperator(u @ block_skew_matrix(r, 16) @ u.T)
@@ -588,7 +577,7 @@ def test_wvn_near_degenerate_reconstruction_is_exact():
     # singular values 1.1 and 1.1 + 1e-6 leave K of norm ~1e-6, large enough
     # that returning the sum of step perturbations unnegated breaks A = K + D;
     # no value sits on an edge of the 4- or 8-cell partition of [0, 2]
-    u = generate.random_unitary(np.random.default_rng(3), 8)
+    u = random_unitary(np.random.default_rng(3), 8)
     m = u @ block_skew_matrix([2.0, 1.5, 1.1, 1.1 + 1e-6], 8) @ u.T
     result = wvn_decompose(AntilinearOperator(m), 1e-3)
     assert frob(result.k.mat) > 1e-7
@@ -627,9 +616,7 @@ def test_wvn_budget_failure_stops_when_cells_saturate(monkeypatch):
     # CLUSTER_TOL * 2), so every step keeps their spread in K, ~1e-9, far
     # above epsilon = 1e-10; once every cluster has its own cell finer cells
     # cannot help
-    u = generate.random_unitary(np.random.default_rng(5), 16)
-    m = u @ block_skew_matrix([2.0, 1.7, 1.3, 1.0 + 5e-9, 1.0, 0.6, 0.3, 0.1], 16) @ u.T
-    a = AntilinearOperator((m - m.T) / 2.0)
+    a = AntilinearOperator(from_spectrum([2.0, 1.7, 1.3, 1.0 + 5e-9, 1.0, 0.6, 0.3, 0.1], 16, 5))
     attempts, dense = count_attempts(monkeypatch)
     with pytest.raises(BudgetFailure) as excinfo:
         wvn_decompose(a, 1e-10)
@@ -673,8 +660,7 @@ def test_wvn_refuses_an_epsilon_that_is_not_positive(monkeypatch):
     from skewvn.cli import run_verify
 
     rng = np.random.default_rng(50)
-    q, r = np.linalg.qr(random_complex(rng, 8, 8))
-    un = q * (np.diag(r) / np.abs(np.diag(r)))
+    un = random_unitary(rng, 8)
     tau = Conjugation(un @ un.T)
     m = generate.gen("skew-symmetric", 8, None, 5)
     runs = (lambda e, p: wvn_decompose(AntilinearOperator(m), e, p),
@@ -704,9 +690,7 @@ def test_wvn_budget_does_not_underflow_on_many_outer_steps():
     # sixteen equal pairs take one outer step each; a budget of epsilon / 2^j
     # fell below the roundoff of step 13 (||K|| = 2.8e-14 >= 1.2e-14), while
     # half of the budget left stays near epsilon / 2
-    u = generate.random_unitary(np.random.default_rng(3), 32)
-    m = u @ block_skew_matrix(np.ones(16), 32) @ u.T
-    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-10)
+    result = wvn_decompose(AntilinearOperator(from_spectrum(np.ones(16), 32, 3)), 1e-10)
     assert result.achieved_norm < 1e-10
     assert np.allclose(result.d_values, 1.0)
 
@@ -717,7 +701,7 @@ def estimate_inputs():
     for n in (16, 64, 128):
         yield generate.gen("skew-symmetric", n, None, n)
     for n in (32, 128):
-        u = generate.random_unitary(rng, n)
+        u = random_unitary(rng, n)
         yield u @ block_skew_matrix(np.repeat([3.0, 2.0, 1.0, 0.5], n // 8), n) @ u.T
         r = np.sort(rng.uniform(0.5, 2.0, n // 4))
         yield u @ block_skew_matrix(np.concatenate([r, r * (1.0 + 1e-7)]), n) @ u.T
@@ -851,9 +835,8 @@ def test_wvn_factors_once_per_outer_step(monkeypatch):
     youla = count_calls(monkeypatch, "youla_decompose", lambda args: args[0].shape[0])
     attempts, _ = count_attempts(monkeypatch)
     resolutions = count_calls(monkeypatch, "spectral_resolution", lambda args: args[0].dim)
-    u = generate.random_unitary(np.random.default_rng(4), 32)
-    m = u @ block_skew_matrix(np.repeat([2.0, 1.5, 1.0, 0.5], 4), 32) @ u.T
-    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-2)
+    m = from_spectrum(np.repeat([2.0, 1.5, 1.0, 0.5], 4), 32, 4)
+    result = wvn_decompose(AntilinearOperator(m), 1e-2)
     assert result.achieved_norm < 1e-2
     # four values: every kept cell holds one and is captured whole, K = 0
     assert len(accepted_per_step(attempts)) == 1
@@ -861,17 +844,16 @@ def test_wvn_factors_once_per_outer_step(monkeypatch):
     assert youla == [32] and resolutions == []
     # ten distinct values: cells of several values leave complements
     del youla[:], attempts[:]
-    m = u @ block_skew_matrix(np.linspace(2.0, 0.2, 16), 32) @ u.T
-    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 0.5)
+    m = from_spectrum(np.linspace(2.0, 0.2, 16), 32, 4)
+    result = wvn_decompose(AntilinearOperator(m), 0.5)
     assert result.achieved_norm < 0.5
     assert len(accepted_per_step(attempts)) > 1
     assert youla == [32]
     assert frob(m - result.k.mat - result.d.mat) <= 1e-10 * frob(m)
     # graded values 1 ... 1e-12: most pairs share cell 0 for many steps
     del youla[:], attempts[:]
-    u = generate.random_unitary(np.random.default_rng(5), 64)
-    m = u @ block_skew_matrix(np.logspace(0.0, -12.0, 32), 64) @ u.T
-    result = wvn_decompose(AntilinearOperator((m - m.T) / 2.0), 1e-2)
+    m = from_spectrum(np.logspace(0.0, -12.0, 32), 64, 5)
+    result = wvn_decompose(AntilinearOperator(m), 1e-2)
     assert result.achieved_norm < 1e-2
     assert len(accepted_per_step(attempts)) > 1
     assert youla == [64]
@@ -937,7 +919,7 @@ def test_cell_complement_matches_a_youla_form_of_the_compression():
     for r, phi in cell_inputs():
         m = 2 * r.size
         lam, b = np.repeat(r, 2), float(r[0])
-        v = generate.random_unitary(np.random.default_rng(m), m)
+        v = random_unitary(np.random.default_rng(m), m)
         fg = np.column_stack([phi, wvn._swap(np.conj(phi))])
         assert lam[0] - lam[-1] > wvn.COUPLING_EPS * eps * b  # not one value
         out, mu = wvn._cell_complement(v, lam, phi)
