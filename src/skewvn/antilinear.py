@@ -57,15 +57,12 @@ class AntilinearOperator:
 
 
 @dataclass(frozen=True)
-class Conjugation:
+class Conjugation(AntilinearOperator):
     """Antilinear isometric involution x -> mat @ conj(x)."""
 
-    mat: np.ndarray
-
     def __post_init__(self):
-        c = matcore.require_square(self.mat)
-        object.__setattr__(self, "mat", c)
-        n = c.shape[0]
+        super().__post_init__()
+        c, n = self.mat, self.dim
         if self.is_standard(0.0):  # the identity's residuals are exactly 0
             return
         bound = DEFAULT_TOL * max(1.0, np.sqrt(n))
@@ -78,13 +75,6 @@ class Conjugation:
     def standard(cls, n):
         """Entrywise conjugation, fixing every standard basis vector."""
         return cls(np.eye(n, dtype=complex))
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def __call__(self, x):
-        return self.mat @ np.conj(np.asarray(x, dtype=complex))
 
     def is_standard(self, tol=DEFAULT_TOL):
         return frob(self.mat - np.eye(self.dim)) <= tol

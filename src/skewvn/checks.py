@@ -73,11 +73,16 @@ def skew_symmetry(report, m, tol):
     report.add("skew_symmetry", frob(m + m.T), tol * frob(m))
 
 
+def _pair_residual(m, u, v):
+    """||M - U B U^tr||_F, B = block_skew_matrix(v): U B U^tr = X - X^tr for
+    X = sum_j v_j u_2j u_2j+1^tr, one half-size product."""
+    x = (u[:, 0:2 * len(v):2] * v) @ u[:, 1:2 * len(v):2].T
+    return frob(m - x + x.T)
+
+
 def youla(report, m, u, r, tol):
-    """M = U B U^tr with U unitary and B = block_skew_matrix(r); U B U^tr =
-    X - X^tr for X = sum_j r_j u_2j u_2j+1^tr, one half-size product."""
-    x = (u[:, 0:2 * len(r):2] * r) @ u[:, 1:2 * len(r):2].T
-    report.add("youla_roundtrip", frob(m - x + x.T), max(tol, FACTOR_TOL) * frob(m))
+    """M = U B U^tr, U unitary, B = block_skew_matrix(r): (e_j, f_j) in columns 2j+1, 2j."""
+    report.add("youla_roundtrip", _pair_residual(m, u, r), max(tol, FACTOR_TOL) * frob(m))
     report.add("youla_unitary", _unitarity(u), _unit_bound(tol, m.shape[0]))
 
 
@@ -114,15 +119,14 @@ def spectral_measure(report, kappa, res):
 
 def wvn(report, m, k, d, u, d_values, tol, epsilon, p):
     """A = K + D, ||K||_p < epsilon, u unitary, D = sum_j d_j (f_j e_j^tr -
-    e_j f_j^tr) over the paired basis in the columns e_1, f_1, e_2, ... of
-    u, and Weyl stability of the spectrum."""
+    e_j f_j^tr) over the paired basis in the columns f_1, e_1, f_2, ... of
+    u, as in ``youla``, and Weyl stability of the spectrum."""
     scale = frob(m)
     report.add("wvn_reconstruction", frob(m - k - d), 1e-10 * scale)
     s_k = singular_values(k)  # one SVD serves the budget and the Weyl line
     report.add("wvn_norm_budget", _schatten(s_k, p), epsilon, strict=True)
     report.add("wvn_unitary", _unitarity(u), _unit_bound(tol, m.shape[0]))
-    x = (u[:, 1::2] * d_values) @ u[:, 0::2].T  # D = X - X^tr
-    report.add("wvn_block_residual", frob(d - x + x.T), 1e-9 * scale)
+    report.add("wvn_block_residual", _pair_residual(d, u, d_values), 1e-9 * scale)
     shift = np.abs(singular_values(m) - singular_values(d))
     report.add("wvn_weyl_stability", float(np.max(shift)), float(s_k[0]) + 1e-9)
 

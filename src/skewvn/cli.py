@@ -150,7 +150,8 @@ def _cmd_wvn(args):
     result = wvn_mod.wvn_decompose(a, args.epsilon, args.p, args.tol, args.rank_tol)
     cmatio.write_cmat(f"{args.out_prefix}.K.cmat", result.k.mat)
     cmatio.write_cmat(f"{args.out_prefix}.D.cmat", result.d.mat)
-    cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u)
+    # the file keeps its layout, (e_j, f_j) in columns 2j, 2j+1, not the library's 2j+1, 2j
+    cmatio.write_cmat(f"{args.out_prefix}.U.cmat", result.u[:, [j ^ 1 for j in range(a.dim)]])
     _write_values(args.out_prefix, result.d_values)
     return _finish(args.out_prefix, checks.wvn, m, result.k.mat, result.d.mat,
                    result.u, result.d_values, args.tol, args.epsilon, args.p)

@@ -48,7 +48,7 @@ def gen(kind, dim, rank=None, seed=0):
     if seed < 0:
         raise SkewvnError(f"seed must be nonnegative, got {seed}")
     if kind not in KINDS:
-        raise InvalidRank(f"unknown kind {kind!r}")
+        raise SkewvnError(f"unknown kind {kind!r}")
     if kind in RANKED:
         if rank is None:
             raise InvalidRank(f"rank is required for {kind}")

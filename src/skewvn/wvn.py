@@ -12,11 +12,12 @@ form B and kappa swaps each pair: the step is block-diagonal by cell, its
 rest of a kept cell, the complement of (f_k, kappa f_k) there, is again a
 pair basis after one real eigensolve of |A| on it.  A kept cell of one
 value up to roundoff is captured whole, with K = 0 there: E(omega_k)
-reduces A and its Youla pairs are D-blocks.  Kept cells write their pairs
-over Youla columns already read and Y_k into one n x n array, which give K,
-D and the basis; the kernel left closes the basis, d = 0.  The linear
-corollaries run the same loop on T in a tau-fixed basis: ``kernel_split_wvn``
-reads N(T) off the same Youla form and leaves it unpaired, last in U.
+reduces A and its Youla pairs are D-blocks.  Kept cells write their pairs,
+in Youla's layout, over Youla columns already read and Y_k into one n x n
+array, which give K, D and the basis; the kernel left closes the basis,
+d = 0.  The linear corollaries run the same loop on T in a tau-fixed basis:
+``kernel_split_wvn`` reads N(T) off the same Youla form and leaves it
+unpaired, last in U.
 """
 
 import math
@@ -105,8 +106,8 @@ class WvnResult:
 
     @property
     def basis(self):
-        """[(e_j, f_j)], views of ``u``, whose columns are e_1, f_1, e_2, ..."""
-        return list(zip(self.u[:, 0::2].T, self.u[:, 1::2].T))
+        """[(e_j, f_j)], views of ``u``, whose columns are f_1, e_1, f_2, ... as in Youla"""
+        return list(zip(self.u[:, 1::2].T, self.u[:, 0::2].T))
 
 
 def _resolve(vectors, lam):
@@ -309,7 +310,7 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
             raise KernelMismatch(f"numerical kernels of T and T* differ: "
                                  f"||P_N(T) - P_N(T*)||_F = {mismatch:.3e}")
     _check_floor(r, epsilon, p)
-    # kept cell i: f_k, kappa f_k in columns 2i, 2i+1 of u, and Y_k in those of y
+    # kept cell i: kappa f_k, f_k in columns 2i, 2i+1 of u, as Youla's f, e; Y_k in y's
     v, y = u[:, :paired], np.empty_like(u)
     kernel_floor = rank_tol * float(r.max(initial=0.0))
     used, d_values = 0, np.zeros(r.size)  # the kernel left keeps d = 0
@@ -344,7 +345,7 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
         # missed keep their pairs, a cell of one value is captured whole and
         # each other one leaves its own complement
         phi, g, dev = cut.phi, _swap(np.conj(cut.phi)), lam - d[cut.cell]
-        x = np.column_stack([phi, g, dev * g, -dev * phi])
+        x = np.column_stack([g, phi, -dev * phi, dev * g])
         starts = np.flatnonzero(np.diff(cut.cell, prepend=-1))
         kept = np.isin(cut.cell[starts], cut.kept)
         rest = ~np.isin(cut.cell, cut.kept)
@@ -353,10 +354,10 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
         # used <= lo, kept cells spanning >= 2 columns: only read columns of v change
         for lo, hi in zip(starts[kept], np.append(starts[1:], lam.size)[kept]):
             if hi - lo > 2 and lam[lo] - lam[hi - 1] <= one_value:
-                # E(omega_k) reduces A, Y_k = 0; kappa maps u's column 2i to
-                # 2i+1, so pairs swap, by a fancy index that copies: v views u at step 1
+                # E(omega_k) reduces A, Y_k = 0; v views u at step 1, and numpy
+                # copies an overlapping source before it assigns
                 new = slice(used, used + hi - lo)
-                u[:, new], y[:, new] = v[:, lo:hi][:, np.arange(hi - lo) ^ 1], 0.0
+                u[:, new], y[:, new] = v[:, lo:hi], 0.0
                 d_values[used // 2 : new.stop // 2], used = lam[lo:hi:2], new.stop
                 continue
             if hi - lo > 2:
@@ -374,8 +375,8 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
     k_total = y[:, :used] @ u[:, :used].T
     del y
     k_total -= k_total.T
-    # the kernel left over pairs column 2j+1 with column 2j, d = 0
-    u[:, used:paired:2], u[:, used + 1 : paired : 2] = v[:, 1::2], v[:, 0::2]
+    # the kernel left closes the basis in its own pairs, d = 0
+    u[:, used:paired] = v
     return k_total, u, d_values, spent
 
 
@@ -422,11 +423,6 @@ def _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel):
     t_fixed = t if r_basis is None else r_basis.conj().T @ t @ r_basis  # skew iff T is tau-skew
     k, u, d_values, spent = _wvn(youla_decompose(t_fixed, tol, rank_tol), epsilon, p, tol,
                                  rank_tol, split_kernel)
-    # column order (f, e) makes U D U^tr reproduce the antilinear block form;
-    # unpaired kernel columns stay last
-    cols = np.arange(t.shape[0])
-    cols[: 2 * d_values.size] ^= 1
-    u = u[:, cols]
     if r_basis is not None:
         k, u = r_basis @ k @ r_basis.conj().T, r_basis @ u
     d = block_skew_matrix(d_values, t.shape[0])

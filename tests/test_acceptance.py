@@ -255,9 +255,6 @@ def test_acceptance_7_cli_end_to_end(tmp_path):
     cli.main(["gen", "--kind", "tau-skew-symmetric-with-kernel", "--dim", "5",
               "--rank", "4", "--out", odd])
     ok &= cli.main(["verify", odd]) == 2
-    prefix = str(tmp_path / "r1")
-    u = cmatio.read_cmat(str(tmp_path / "r1.U.cmat"))
-    u[0, 0] += 0.25
     sw = str(tmp_path / "sw")
     cli.main(["skew-wvn", str(tmp_path / "r1.cmat"), "--epsilon", "1e-2",
               "--out-prefix", sw])

@@ -102,7 +102,7 @@ def test_wvn_unitary_fails_on_a_perturbed_basis():
     result = wvn_decompose(AntilinearOperator(m), EPSILON)
     g = np.random.default_rng(0).standard_normal((32, 32))
     u = result.u @ (np.eye(32) + 1e-6 * g)
-    e, f, d_values = u[:, 0::2], u[:, 1::2], result.d_values
+    e, f, d_values = u[:, 1::2], u[:, 0::2], result.d_values
     d = (f * d_values) @ e.T - (e * d_values) @ f.T
     assert failing(checks.wvn, m, result.k.mat, result.d.mat, result.u, d_values,
                    TOL, EPSILON, 2.0) == set()

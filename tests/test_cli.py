@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewvn import canonical, checks, cli, cmatio, generate, wvn
 from skewvn.cli import VerificationReport, main, run_verify
-from skewvn.errors import InvalidRank, ParseError
+from skewvn.errors import InvalidRank, ParseError, SkewvnError
 from skewvn.generate import from_spectrum, random_complex, random_unitary
 
 
@@ -176,6 +176,10 @@ def test_gen_rejects_odd_rank():
         generate.gen("skew-symmetric-rank", 6, 3, 0)
     with pytest.raises(InvalidRank):
         generate.gen("skew-symmetric-rank", 4, 6, 0)
+    # an unknown kind is no rank error
+    with pytest.raises(SkewvnError) as info:
+        generate.gen("bogus", 4)
+    assert not isinstance(info.value, InvalidRank)
 
 
 def test_gen_with_kernel():
@@ -311,6 +315,12 @@ def test_cli_pipeline(tmp_path, capsys):
             text += Path(f"{prefix}-{command}.report.txt").read_text()
         for suffix in (".K.cmat", ".D.cmat", ".U.cmat", ".report.txt", ".values.txt"):
             assert Path(f"{prefix}-wvn{suffix}").exists()
+        # one decomposition: the same K, and the same U up to the order of
+        # each pair's columns, (e_j, f_j) in wvn's file and (f_j, e_j) in skew-wvn's
+        wvn_k, skew_k = (Path(f"{prefix}-{c}.K.cmat").read_bytes() for c in ("wvn", "skew-wvn"))
+        assert wvn_k == skew_k
+        wvn_u, skew_u = (cmatio.read_cmat(f"{prefix}-{c}.U.cmat") for c in ("wvn", "skew-wvn"))
+        assert np.array_equal(wvn_u, skew_u[:, np.arange(dim) ^ 1])
         assert main(["verify", mpath, *budget]) == 0
         assert main(["verify", mpath, "--decomp-prefix", f"{prefix}-skew-wvn", *budget]) == 0
         for line in (text + capsys.readouterr().out).splitlines():

@@ -478,6 +478,11 @@ def test_kernel_split_injective_is_skew_symmetric_wvn():
     for field in ("k", "d", "u", "d_values"):
         assert np.array_equal(getattr(split, field), getattr(direct, field))
     assert split.achieved_norm == direct.achieved_norm
+    # the antilinear WvN writes the same K and U, in the same pair layout
+    anti = wvn_decompose(AntilinearOperator(t), 1e-2)
+    for got, want in ((anti.k.mat, direct.k), (anti.u, direct.u),
+                      (anti.d_values, direct.d_values)):
+        assert np.array_equal(got, want)
 
 
 def check_kernel_split_contract(t, tau):
