@@ -2,6 +2,7 @@
 scale with the input, budget lines are strict, and the README table lists
 exactly the lines the CLI prints."""
 
+import dataclasses
 import itertools
 import re
 from pathlib import Path
@@ -68,16 +69,18 @@ def test_polar_lines_fail_on_their_faults():
         "polar_factor", "polar_commute", "kappa_unitary", "kappa_square", "kappa_skew"}
 
 
+G_CELL_LINES = [f"g_{kind}_cell{i}" for kind in ("square", "sharp") for i in range(1, 5)]
+
+
 def test_spectral_measure_lines_fail_on_a_wrong_kappa():
     kappa = polar_factorize(AntilinearOperator(M)).kappa.mat
     res = spectral_resolution(youla_decompose(M))
     assert failing(checks.spectral_measure, kappa, res) == set()
-    cells = [f"g_{kind}_cell{i}" for kind in ("square", "sharp") for i in range(1, 5)]
     # G(w) = kappa E(w) is linear in kappa, so a wrong kappa keeps G additive
     # and G([0, ||A||]) = kappa; a kappa that is not skew breaks G(w)# = -G(w)
     # and G(w)^2 = -E(w) in every cell, a scaled kappa only the latter
-    assert failing(checks.spectral_measure, bump(kappa), res) == set(cells)
-    assert failing(checks.spectral_measure, 2.0 * kappa, res) == set(cells[:4])
+    assert failing(checks.spectral_measure, bump(kappa), res) == set(G_CELL_LINES)
+    assert failing(checks.spectral_measure, 2.0 * kappa, res) == set(G_CELL_LINES[:4])
 
 
 def wvn_args(result, epsilon=EPSILON, m=M):
@@ -165,6 +168,17 @@ def test_verdicts_do_not_depend_on_the_scale(shift):
     assert failing(checks.youla, m, result.u, result.r, TOL) == set()
     assert failing(checks.youla, m, result.u, bump_first(result.r, 1e-6 * scale), TOL) == {
         "youla_roundtrip"}
+    # the g lines are dimensionless: kappa and the resolution's columns do
+    # not scale with M, and neither do their faults
+    kappa, res = result.polar().kappa.mat, spectral_resolution(result)
+    assert failing(checks.spectral_measure, kappa, res) == set()
+    assert failing(checks.spectral_measure, bump(kappa), res) == set(G_CELL_LINES)
+    assert failing(checks.spectral_measure, 2.0 * kappa, res) == set(G_CELL_LINES[:4])
+    # columns 1e-6 off unitary break every cell's identities and G([0, ||A||])
+    # = kappa, while the cells still add up to the whole
+    g = np.random.default_rng(0).standard_normal((12, 12))
+    off = dataclasses.replace(res, vectors=res.vectors @ (np.eye(12) + 1e-6 * g))
+    assert failing(checks.spectral_measure, kappa, off) == {*G_CELL_LINES, "g_full_is_kappa"}
     r = skew_wvn()
     k, d = r.k * scale, r.d * scale
     assert failing(checks.decomposition, "decomp", m, k, d, r.u, TOL) == set()

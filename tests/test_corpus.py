@@ -13,7 +13,13 @@ from skewvn.antilinear import AntilinearOperator, Conjugation
 from skewvn.canonical import polar_factorize, youla_decompose
 from skewvn.checks import VerificationReport
 from skewvn.matcore import frob
-from skewvn.wvn import kernel_split_wvn, skew_symmetric_wvn, spectral_resolution, wvn_decompose
+from skewvn.wvn import (
+    kernel_split_wvn,
+    skew_symmetric_wvn,
+    spectral_measure_G,
+    spectral_resolution,
+    wvn_decompose,
+)
 
 TOL = 1e-10
 EPSILON = 1e-2
@@ -40,8 +46,19 @@ def test_corpus_youla_and_polar(family, n):
     a = AntilinearOperator(m)
     polar = polar_factorize(a)
     checks.polar(report, m, polar.kappa.mat, polar.modulus, TOL)
-    checks.spectral_measure(report, polar.kappa.mat, spectral_resolution(youla))
+    res = spectral_resolution(youla)
+    checks.spectral_measure(report, polar.kappa.mat, res)
     assert report.all_pass, report.render()
+    # each printed g residual is the one formed through the dense E(w) and G(w)
+    kappa, cell, total, dense = polar.kappa, res.cells(checks.G_CELLS), 0.0, []
+    for i in range(checks.G_CELLS):
+        g = spectral_measure_G(kappa, cell == i, res)
+        dense += [frob(g.compose(g) + res.projection(cell == i)), frob(g.sharp().mat + g.mat)]
+        total = total + g.mat
+    full = spectral_measure_G(kappa, cell < checks.G_CELLS, res).mat
+    dense += [frob(full - kappa.mat), frob(total - full)]
+    printed = [residual for name, _, residual, _ in report.checks if name.startswith("g_")]
+    assert np.allclose(printed, dense, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("family, n", CASES)
