@@ -43,7 +43,6 @@ from .wvn import (
     kernel_split_wvn,
     rank_projection_step,
     skew_symmetric_wvn,
-    skew_wvn_residual,
     spectral_measure_G,
     spectral_resolution,
     wvn_decompose,

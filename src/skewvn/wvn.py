@@ -11,13 +11,14 @@ form B and kappa swaps each pair: the step is block-diagonal by cell, its
 ||K||_p and the value d_k of each captured pair are per-cell sums, and the
 rest of a kept cell, the complement of (f_k, kappa f_k) there, is again a
 pair basis after one real eigensolve of |A| on it.  A kept cell of one
-value up to roundoff is captured whole, with K = 0 there: E(omega_k)
-reduces A and its Youla pairs are D-blocks.  Kept cells write their pairs,
-in Youla's layout, over Youla columns already read and Y_k into one n x n
-array, which give K, D and the basis; the kernel left closes the basis,
-d = 0.  The linear corollaries run the same loop on T in a tau-fixed basis:
-``kernel_split_wvn`` reads N(T) off the same Youla form and leaves it
-unpaired, last in U.
+value up to roundoff, a single pair included, is captured whole, with
+K = 0 there: E(omega_k) reduces A and its Youla pairs are D-blocks, so a
+generic spectrum's WvN is its Youla form.  Kept cells write their pairs,
+in Youla's layout, over Youla columns already read and coupled cells Y_k
+into one n x n array, which give K, D and the basis; the kernel left
+closes the basis, d = 0.  The linear corollaries run the same loop on T in
+a tau-fixed basis: ``kernel_split_wvn`` reads N(T) off the same Youla form
+and leaves it unpaired, last in U.
 """
 
 import math
@@ -94,7 +95,8 @@ class StepResult:
 @dataclass(frozen=True)
 class WvnResult:
     """``achieved_norm``, the sum of the outer steps' attempt norms, bounds
-    ||K||_p; a cell captured whole has K = 0 but its roundoff counts."""
+    ||K||_p; a cell captured whole has K = 0 but its roundoff counts, so on
+    a generic spectrum it is the saturated step's roundoff while K = 0."""
 
     k: AntilinearOperator
     d: AntilinearOperator
@@ -275,9 +277,9 @@ def wvn_decompose(a, epsilon, p=2.0, tol=DEFAULT_TOL, rank_tol=DEFAULT_TOL):
     with the first standard basis vector not yet captured, doubling the
     cells until the step fits half of the budget left, (epsilon - spent) / 2,
     until the rest is below rank_tol * ||A||, numerical kernel paired with
-    d = 0.  Each kept cell captures (f_k, kappa f_k) with d_k = <kappa f_k,
-    A f_k>, or all of E(omega_k), with its Youla values and K = 0 there, if
-    it holds more than one pair of one value up to COUPLING_EPS eps ||A||.
+    d = 0.  Each kept cell captures all of E(omega_k), with its Youla values
+    and K = 0 there, if its values are one up to COUPLING_EPS eps ||A||, as a
+    single pair's are, or else (f_k, kappa f_k) with d_k = <kappa f_k, A f_k>.
     D = A + sum of the steps and K = -sum, so A - K - D vanishes exactly.
     Raises NotSkewSymmetric as ``youla_decompose`` does, OddKernel for an
     odd numerical kernel, and BudgetFailure when epsilon <= ROUNDOFF_FLOOR
@@ -311,9 +313,10 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
                                  f"||P_N(T) - P_N(T*)||_F = {mismatch:.3e}")
     _check_floor(r, epsilon, p)
     # kept cell i: kappa f_k, f_k in columns 2i, 2i+1 of u, as Youla's f, e; Y_k in y's
-    v, y = u[:, :paired], np.empty_like(u)
+    v, y = u[:, :paired], np.zeros_like(u)
     kernel_floor = rank_tol * float(r.max(initial=0.0))
     used, d_values = 0, np.zeros(r.size)  # the kernel left keeps d = 0
+    coupled = 0  # end of the last pair captured with Y_k != 0
     spent = 0.0  # sum of the accepted step norms
     step = 0
     while v.shape[1] > 0 and (step == 0 or r[0] > kernel_floor):
@@ -342,8 +345,8 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
         spent += norm
 
         # cells are runs of columns, as lam descends; the cells the seed
-        # missed keep their pairs, a cell of one value is captured whole and
-        # each other one leaves its own complement
+        # missed keep their pairs, a cell of one value (any single pair) is
+        # captured whole and each other one leaves its own complement
         phi, g, dev = cut.phi, _swap(np.conj(cut.phi)), lam - d[cut.cell]
         x = np.column_stack([g, phi, -dev * phi, dev * g])
         starts = np.flatnonzero(np.diff(cut.cell, prepend=-1))
@@ -353,26 +356,26 @@ def _wvn(youla, epsilon, p, tol, rank_tol, split_kernel=False):
         one_value = COUPLING_EPS * np.finfo(float).eps * res.b
         # used <= lo, kept cells spanning >= 2 columns: only read columns of v change
         for lo, hi in zip(starts[kept], np.append(starts[1:], lam.size)[kept]):
-            if hi - lo > 2 and lam[lo] - lam[hi - 1] <= one_value:
+            if lam[lo] - lam[hi - 1] <= one_value:
                 # E(omega_k) reduces A, Y_k = 0; v views u at step 1, and numpy
                 # copies an overlapping source before it assigns
                 new = slice(used, used + hi - lo)
-                u[:, new], y[:, new] = v[:, lo:hi], 0.0
+                u[:, new] = v[:, lo:hi]
                 d_values[used // 2 : new.stop // 2], used = lam[lo:hi:2], new.stop
                 continue
-            if hi - lo > 2:
-                parts.append(_cell_complement(v[:, lo:hi], lam[lo:hi], phi[lo:hi]))
+            parts.append(_cell_complement(v[:, lo:hi], lam[lo:hi], phi[lo:hi]))
             u[:, used : used + 2], y[:, used : used + 2] = np.hsplit(v[:, lo:hi] @ x[lo:hi], 2)
             d_values[used // 2] = d[cut.cell[lo]]
-            used += 2
+            used = coupled = used + 2
         v_parts, r_parts = zip(*parts)
         r = np.concatenate(r_parts)
         order = np.argsort(-r, kind="stable")
         v = np.hstack(v_parts)[:, (2 * order[:, None] + np.arange(2)).ravel()]
         r = r[order]
 
-    # K = -(sum of the steps Q Y^tr - Y Q^tr), Q = [f_k, kappa f_k] per kept cell
-    k_total = y[:, :used] @ u[:, :used].T
+    # K = -(sum of the steps Q Y^tr - Y Q^tr), Q = [f_k, kappa f_k] per
+    # coupled cell; Y = 0 on the cells captured whole
+    k_total = y[:, :coupled] @ u[:, :coupled].T
     del y
     k_total -= k_total.T
     # the kernel left closes the basis in its own pairs, d = 0
@@ -427,9 +430,3 @@ def _skew_wvn(t, tau, epsilon, p, tol, rank_tol, split_kernel):
         k, u = r_basis @ k @ r_basis.conj().T, r_basis @ u
     d = block_skew_matrix(d_values, t.shape[0])
     return SkewWvnResult(k=k, d=d, u=u, d_values=d_values, achieved_norm=spent)
-
-
-def skew_wvn_residual(t, tau, result):
-    """Frobenius residual of T - K - U D U^tr (tau-basis transpose)."""
-    recon = result.k + result.u @ result.d @ result.u.T @ np.conj(tau.mat)
-    return frob(t - recon)

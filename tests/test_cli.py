@@ -594,12 +594,10 @@ def test_cli_power_of_two_scaled_input(tmp_path):
         assert main(["skew-wvn", mpath, "--epsilon", eps, "--out-prefix", prefix]) == 0
         assert main(["verify", mpath, "--decomp-prefix", prefix, "--epsilon", eps]) == 0
         assert main(["verify", mpath]) == 0
-    # at 2^-600 the WvN checks hold as well; at 2^+600 the absolute 1e-9
-    # slack of wvn_weyl_stability is below the SVD's roundoff
-    mpath = str(tmp_path / "m-600.cmat")
-    eps = repr(1e-2 * 2.0**-600)
-    assert main(["wvn", mpath, "--epsilon", eps, "--out-prefix", str(tmp_path / "w")]) == 0
-    assert main(["verify", mpath, "--epsilon", eps]) == 0
+        # the WvN checks hold at both scales: every kept cell of a generic
+        # input is one pair, captured whole, so D = A and K = 0 exactly
+        assert main(["wvn", mpath, "--epsilon", eps, "--out-prefix", str(tmp_path / "w")]) == 0
+        assert main(["verify", mpath, "--epsilon", eps]) == 0
 
 
 def test_cli_kernel_heavy_input(tmp_path):

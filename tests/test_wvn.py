@@ -29,7 +29,6 @@ from skewvn.wvn import (
     kernel_split_wvn,
     rank_projection_step,
     skew_symmetric_wvn,
-    skew_wvn_residual,
     spectral_measure_G,
     spectral_resolution,
     wvn_decompose,
@@ -329,12 +328,28 @@ def test_wvn_odd_kernel_and_bad_p():
         wvn_decompose(AntilinearOperator(np.zeros((2, 2))), 0.1, p=math.inf)
 
 
+def decomposition_report(prefix, t, tau, result, epsilon=None):
+    """The decomposition lines of ``result`` for the antilinear form T o tau,
+    whose matrix is T C: T = K + U D U^tr conj(C) iff T C = K C + U D U^tr."""
+    report = VerificationReport()
+    c = tau.mat
+    checks.decomposition(report, prefix, t @ c, result.k @ c, result.d, result.u, 1e-10,
+                         epsilon)
+    return report
+
+
+def reconstruction(t, tau, result):
+    """||T C - K C - U D U^tr||_F, read off the skew_wvn_reconstruction line."""
+    lines = decomposition_report("skew_wvn", t, tau, result).checks
+    return {name: residual for name, _, residual, _ in lines}["skew_wvn_reconstruction"]
+
+
 def test_skew_wvn_single_block():
     tau = Conjugation.standard(2)
     t = np.array([[0, 1], [-1, 0]], dtype=complex)
     result = skew_symmetric_wvn(t, tau, 0.1)
     assert abs(result.d_values[0] - 1.0) < 0.1
-    assert skew_wvn_residual(t, tau, result) <= 1e-10
+    assert reconstruction(t, tau, result) <= 1e-10
     assert result.d[0, 1].real == pytest.approx(result.d_values[0])
 
 
@@ -343,7 +358,7 @@ def test_skew_wvn_zero():
     result = skew_symmetric_wvn(np.zeros((2, 2)), tau, 0.5)
     assert frob(result.k) <= 1e-12
     assert frob(result.d) <= 1e-12
-    assert skew_wvn_residual(np.zeros((2, 2)), tau, result) <= 1e-12
+    assert reconstruction(np.zeros((2, 2)), tau, result) <= 1e-12
 
 
 def test_skew_wvn_random_postconditions():
@@ -352,7 +367,7 @@ def test_skew_wvn_random_postconditions():
     t = random_skew(rng, 12)
     result = skew_symmetric_wvn(t, tau, 1e-2, p=2.0)
     scale = 1 + frob(t)
-    assert skew_wvn_residual(t, tau, result) <= 1e-9 * scale
+    assert reconstruction(t, tau, result) <= 1e-9 * scale
     # for standard tau the residual uses the plain transpose
     assert frob(t - result.k - result.u @ result.d @ result.u.T) <= 1e-9 * scale
     assert frob(result.k + result.k.T) <= 1e-9 * (1 + frob(result.k))
@@ -369,7 +384,7 @@ def test_skew_wvn_general_tau():
     m = random_skew(rng, n)
     t = m @ np.conj(tau.mat)  # tau-skew-symmetric by construction
     result = skew_symmetric_wvn(t, tau, 1e-2)
-    assert skew_wvn_residual(t, tau, result) <= 1e-9 * (1 + frob(t))
+    assert reconstruction(t, tau, result) <= 1e-9 * (1 + frob(t))
     assert result.achieved_norm < 1e-2
     # K stays tau-skew-symmetric
     c = tau.mat
@@ -384,7 +399,7 @@ def test_kernel_split_odd_kernel():
     tau = Conjugation.standard(3)
     result = kernel_split_wvn(t, tau, 0.1)
     assert np.allclose(result.d_values, [1.0], atol=0.1)
-    assert skew_wvn_residual(t, tau, result) <= 1e-9 * (1 + frob(t))
+    assert reconstruction(t, tau, result) <= 1e-9 * (1 + frob(t))
 
 
 def test_kernel_split_zero():
@@ -403,7 +418,7 @@ def test_kernel_split_padded_random():
     tau = Conjugation.standard(13)
     result = kernel_split_wvn(t, tau, 1e-2)
     scale = 1 + frob(t)
-    assert skew_wvn_residual(t, tau, result) <= 1e-9 * scale
+    assert reconstruction(t, tau, result) <= 1e-9 * scale
     assert result.achieved_norm < 1e-2
     assert frob(result.u.conj().T @ result.u - np.eye(13)) <= 1e-9
     # kernel block untouched: K vanishes on the padding rows/columns
@@ -490,10 +505,7 @@ def check_kernel_split_contract(t, tau):
     lines pass for the antilinear form T o tau, whose matrix is T C, and the
     last five columns of U are N(T), where K and D vanish."""
     result = kernel_split_wvn(t, tau, 1e-2)
-    report = VerificationReport()
-    c = tau.mat
-    checks.decomposition(report, "kernel_split", t @ c, result.k @ c, result.d, result.u,
-                         1e-10, 1e-2)
+    report = decomposition_report("kernel_split", t, tau, result, 1e-2)
     assert report.all_pass, report.render()
     assert 2 * result.d_values.size == 16
     u_ker = result.u[:, 16:]
@@ -743,9 +755,9 @@ def test_step_norm_estimate_matches_dense_norm():
 def dense_accepted_cells(a, epsilon, p=2.0):
     """The outer loop of dense steps: the accepted cells of each outer step,
     K, and the d-values, from one more Youla form of each captured block.
-    A kept cell of more than one pair whose Youla values are one up to
-    COUPLING_EPS eps b is captured whole: P takes E(omega_k) there in place
-    of (f_k, kappa f_k), and K = -(I-P)AP - PA(I-P) of that P."""
+    A kept cell whose Youla values are one up to COUPLING_EPS eps b, a
+    single pair included, is captured whole: P takes E(omega_k) there in
+    place of (f_k, kappa f_k), and K = -(I-P)AP - PA(I-P) of that P."""
     n = a.dim
     eps = np.finfo(float).eps
     k_total = np.zeros((n, n), dtype=complex)
@@ -776,7 +788,7 @@ def dense_accepted_cells(a, epsilon, p=2.0):
         whole = np.zeros(cluster_cell.size, dtype=bool)  # clusters captured whole
         for k in step.kept_cells:
             cols = cluster_cell[res.cluster_of] == k
-            if cols.sum() > 2 and np.ptp(lam[cols]) <= wvn.COUPLING_EPS * eps * res.b:
+            if np.ptp(lam[cols]) <= wvn.COUPLING_EPS * eps * res.b:
                 whole |= cluster_cell == k
         e = res.projection(whole)
         proj = step.p - e @ step.p @ e + e
@@ -807,7 +819,8 @@ def test_screened_loop_accepts_the_dense_cell_counts(monkeypatch):
 
 def test_generic_wvn_factors_once_and_forms_no_dense_step(monkeypatch):
     n = 128
-    a = AntilinearOperator(generate.gen("skew-symmetric", n, None, 7))
+    m = generate.gen("skew-symmetric", n, None, 7)
+    a = AntilinearOperator(m)
     attempts, dense = count_attempts(monkeypatch)
     youla = count_calls(monkeypatch, "youla_decompose", lambda args: args[0].shape)
     reductions = count_calls(monkeypatch, "_tridiagonalize", lambda args: args[0].shape,
@@ -829,9 +842,15 @@ def test_generic_wvn_factors_once_and_forms_no_dense_step(monkeypatch):
     # one outer step: the sum of the step norms is ||K||_p
     assert result.achieved_norm < 1e-2
     assert abs(result.achieved_norm - schatten_norm(result.k, 2.0)) <= roundoff(a.mat)
-    # K's diagonal is exactly zero, and +0.0 as K.cmat writes it
-    diag = np.diagonal(result.k.mat)
-    assert not np.any(diag) and not np.any(np.signbit(diag.real) | np.signbit(diag.imag))
+    # every kept cell is one pair, captured whole: the WvN is the Youla form
+    # with K = 0, every entry +0.0 as K.cmat writes it
+    assert not np.any(result.k.mat) and not np.any(np.signbit(result.k.mat.view(float)))
+    youla_form = youla_decompose(m)
+    assert np.array_equal(result.u, youla_form.u)
+    assert np.array_equal(result.d_values, youla_form.r)
+    assert np.array_equal(result.d.mat, m)
+    skew = skew_symmetric_wvn(m, Conjugation.standard(n), 1e-2)
+    assert np.array_equal(skew.d, block_skew_matrix(youla_form.r, n))
 
 
 def test_wvn_factors_once_per_outer_step(monkeypatch):
@@ -885,7 +904,7 @@ def test_wvn_kernel_heavy_input():
         assert np.max(np.abs(s_a - s_d)) <= schatten_norm(result.k, math.inf) + 1e-9
         tau = Conjugation.standard(n)
         skew = skew_symmetric_wvn(m, tau, 1e-2)
-        assert skew_wvn_residual(m, tau, skew) <= 1e-9 * scale
+        assert reconstruction(m, tau, skew) <= 1e-9 * scale
         assert skew.achieved_norm < 1e-2
         assert frob(skew.u.conj().T @ skew.u - np.eye(n)) <= 1e-10 * np.sqrt(n)
 
